@@ -88,6 +88,7 @@ test-race:
 
 fuzz:
 	$(GO) test -fuzz='^FuzzRingDelivery$$' -fuzztime=$(FUZZTIME) ./internal/capture/
+	$(GO) test -fuzz='^FuzzVectorPack$$' -fuzztime=$(FUZZTIME) ./internal/features/
 	$(GO) test -fuzz='^FuzzReadPcap$$' -fuzztime=$(FUZZTIME) ./internal/pcap/
 	$(GO) test -fuzz='^FuzzReadPcapNG$$' -fuzztime=$(FUZZTIME) ./internal/pcap/
 	$(GO) test -fuzz='^FuzzLoad$$' -fuzztime=$(FUZZTIME) ./internal/ml/rf/

@@ -13,9 +13,9 @@
 //	  "goos": "linux",
 //	  "goarch": "amd64",
 //	  "benchmarks": [
-//	    {"name": "FingerprintDistance", "pkg": "iotsentinel/internal/editdist",
-//	     "runs": 97143, "ns_per_op": 12337,
-//	     "bytes_per_op": 4136, "allocs_per_op": 19}
+//	    {"name": "DiscriminateRefSet", "pkg": "iotsentinel/internal/editdist",
+//	     "runs": 2718190, "ns_per_op": 441,
+//	     "bytes_per_op": 0, "allocs_per_op": 0}
 //	  ]
 //	}
 //

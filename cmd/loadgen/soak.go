@@ -42,9 +42,9 @@ import (
 
 // soakFleetCut is the chaos byte budget on the soak fleet link: each
 // connection is torn down after roughly this much traffic (jittered),
-// so a soak long enough to stream a few megabytes of fingerprints
-// exercises the reconnect/replay machinery continuously.
-const soakFleetCut = 1 << 20
+// about two thousand fingerprints of 8-byte rows, so a soak exercises
+// the reconnect/replay machinery continuously.
+const soakFleetCut = 1 << 16
 
 // soakIdleGap is the gateway idle gap during soak. Device-local
 // virtual clocks jump past it between cycles, so every cycle's first

@@ -90,13 +90,7 @@ func (c Config) normalize() (Config, error) {
 // concurrent Identify calls read the bank without per-model locking.
 type typeModel struct {
 	forest *rf.Forest
-	refs   []fingerprint.F
-	// refset holds the references pre-interned once at build time on
-	// the identifier's shared vocabulary, so discrimination interns
-	// each candidate once per identification — not once per model —
-	// and scores it against every candidate's references through one
-	// symbol table.
-	refset *editdist.RefSet
+	refs   editdist.RefSet
 }
 
 // Identifier is a trained device-type identification pipeline. The
@@ -125,31 +119,16 @@ type Identifier struct {
 	// canonical fingerprint hash was already answered. The cache is
 	// internally synchronized; mu only guards the pointer.
 	cache *IdentifyCache
-	// vocab is the symbol table shared by every type's refset: one
-	// feature-vector interning pass per identification covers the whole
-	// bank. It grows only under the write lock (Train, AddType), so
-	// readers use it lock-free.
-	vocab *editdist.Vocab
 	// scratch pools per-identification working memory (accept bits,
-	// interned candidate word) so the steady-state hot path does not
-	// allocate.
+	// the F′ floats the forests read) so the steady-state hot path does
+	// not allocate.
 	scratch sync.Pool
 }
 
 // identifyScratch is the reusable working memory of one identification.
 type identifyScratch struct {
 	accepted []bool
-	word     []int
 	fprime   []float64
-}
-
-func (sc *identifyScratch) primeCopy(src []float64) []float64 {
-	if cap(sc.fprime) < len(src) {
-		sc.fprime = make([]float64, len(src))
-	}
-	sc.fprime = sc.fprime[:len(src)]
-	copy(sc.fprime, src)
-	return sc.fprime
 }
 
 func (sc *identifyScratch) boolBuf(n int) []bool {
@@ -184,7 +163,6 @@ func Train(samples map[TypeID][]fingerprint.Fingerprint, cfg Config) (*Identifie
 		cfg:    cfg,
 		models: make(map[TypeID]*typeModel, len(samples)),
 		pool:   make(map[TypeID][]fingerprint.Fingerprint, len(samples)),
-		vocab:  editdist.NewVocab(),
 	}
 	for t, fps := range samples {
 		if len(fps) == 0 {
@@ -197,24 +175,19 @@ func Train(samples map[TypeID][]fingerprint.Fingerprint, cfg Config) (*Identifie
 		id.cache = NewIdentifyCache(cfg.CacheSize)
 	}
 	// Per-type training is independent (hash-derived seeds, read-only
-	// pool), so the bank trains concurrently; results merge into the
-	// model map in canonical order afterwards.
+	// pool and rows), so the bank trains concurrently; results merge
+	// into the model map in canonical order afterwards.
+	rows := id.poolRows()
 	built := make([]*typeModel, len(id.types))
 	err = runIndexed(cfg.workers(), len(id.types), func(i int) error {
-		m, err := id.buildModel(id.types[i])
+		m, err := id.buildModel(id.types[i], rows)
 		built[i] = m
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	// Refsets intern into the shared vocabulary, which is one mutable
-	// map — so they attach sequentially, in canonical type order, after
-	// the parallel training fan-in. Symbol numbering never affects
-	// distances (only symbol equality does), so this ordering is a
-	// determinism nicety, not a correctness requirement.
 	for i, t := range id.types {
-		built[i].refset = editdist.NewRefSetVocab(id.vocab, built[i].refs)
 		id.models[t] = built[i]
 	}
 	return id, nil
@@ -280,14 +253,11 @@ func (id *Identifier) AddType(t TypeID, fps []fingerprint.Fingerprint) error {
 		return fmt.Errorf("core: type %q already trained", t)
 	}
 	id.pool[t] = append([]fingerprint.Fingerprint(nil), fps...)
-	m, err := id.buildModel(t)
+	m, err := id.buildModel(t, id.poolRows())
 	if err != nil {
 		delete(id.pool, t)
 		return err
 	}
-	// Safe to grow the shared vocabulary here: the write lock excludes
-	// every reader for the duration.
-	m.refset = editdist.NewRefSetVocab(id.vocab, m.refs)
 	id.models[t] = m
 	id.types = sortedKeys(id.pool)
 	// The bank changed: every cached answer is now stale (the new type
@@ -349,22 +319,39 @@ func (id *Identifier) Cache() *IdentifyCache {
 	return id.cache
 }
 
+// poolRows expands the F′ of every training-pool fingerprint into the
+// float rows the forests train on, once per training run: every type's
+// classifier reads the same rows, as positives or negatives.
+func (id *Identifier) poolRows() map[TypeID][][]float64 {
+	out := make(map[TypeID][][]float64, len(id.pool))
+	for t, fps := range id.pool {
+		flat := make([]float64, 0, len(fps)*fingerprint.FPrimeLen)
+		rows := make([][]float64, len(fps))
+		for i := range fps {
+			flat = fps[i].FPrime.AppendFloats(flat)
+			rows[i] = flat[i*fingerprint.FPrimeLen : len(flat) : len(flat)]
+		}
+		out[t] = rows
+	}
+	return out
+}
+
 // buildModel fits the one-vs-rest classifier for t: all of t's
 // fingerprints as the positive class, and NegativeRatio×n fingerprints
-// sampled from the other types as the negative class. The caller must
-// hold the write lock or otherwise guarantee the pool is stable; the
-// RNG is derived from the top-level seed by type-ID hash, so the result
-// depends only on (seed, t, pool contents) — never on training order or
-// concurrency.
-func (id *Identifier) buildModel(t TypeID) (*typeModel, error) {
+// sampled from the other types as the negative class. rows holds the
+// pool's F′ rows (poolRows). The caller must hold the write lock or
+// otherwise guarantee the pool is stable; the RNG is derived from the
+// top-level seed by type-ID hash, so the result depends only on (seed,
+// t, pool contents) — never on training order or concurrency.
+func (id *Identifier) buildModel(t TypeID, rows map[TypeID][][]float64) (*typeModel, error) {
 	rng := rand.New(rand.NewSource(typeSeed(id.cfg.Seed, t)))
 	pos := id.pool[t]
 	// Build the negative pool in sorted type order: map iteration
 	// order would make the negative subsample nondeterministic.
-	var negPool []fingerprint.Fingerprint
+	var negPool [][]float64
 	for _, ot := range sortedKeys(id.pool) {
 		if ot != t {
-			negPool = append(negPool, id.pool[ot]...)
+			negPool = append(negPool, rows[ot]...)
 		}
 	}
 	if len(negPool) == 0 {
@@ -378,12 +365,12 @@ func (id *Identifier) buildModel(t TypeID) (*typeModel, error) {
 	perm := rng.Perm(len(negPool))
 	x := make([][]float64, 0, len(pos)+nNeg)
 	y := make([]int, 0, len(pos)+nNeg)
-	for _, fp := range pos {
-		x = append(x, fp.FPrime[:])
+	for _, row := range rows[t] {
+		x = append(x, row)
 		y = append(y, 1)
 	}
 	for _, pi := range perm[:nNeg] {
-		x = append(x, negPool[pi].FPrime[:])
+		x = append(x, negPool[pi])
 		y = append(y, 0)
 	}
 	fcfg := id.cfg.Forest
@@ -400,13 +387,10 @@ func (id *Identifier) buildModel(t TypeID) (*typeModel, error) {
 	if nRefs > len(pos) {
 		nRefs = len(pos)
 	}
-	refs := make([]fingerprint.F, 0, nRefs)
+	refs := make(editdist.RefSet, 0, nRefs)
 	for _, ri := range refIdx[:nRefs] {
 		refs = append(refs, pos[ri].F)
 	}
-	// The refset is attached by the caller: it interns into the shared
-	// vocabulary, which buildModel must not touch — Train runs
-	// buildModel concurrently across types.
 	return &typeModel{forest: forest, refs: refs}, nil
 }
 
@@ -503,9 +487,8 @@ func (id *Identifier) identifyLocked(fp fingerprint.Fingerprint, workers int, sc
 	}
 
 	// Multiple matches: discriminate by summed normalized edit distance
-	// to each candidate's reference fingerprints. The candidate is
-	// interned once against the shared vocabulary, then candidates are
-	// scored sequentially in canonical match order with the running
+	// to each candidate's reference fingerprints. Candidates are scored
+	// sequentially in canonical match order with the running
 	// best sum as each scorer's budget: a candidate that provably
 	// cannot beat the best is abandoned mid-scoring. The first
 	// candidate (and any new best) always completes exactly, and ties
@@ -517,12 +500,10 @@ func (id *Identifier) identifyLocked(fp fingerprint.Fingerprint, workers int, sc
 	if res.Scores == nil {
 		res.Scores = make(map[TypeID]float64, len(res.Matches))
 	}
-	sc.word = id.vocab.AppendWord(sc.word[:0], fp.F)
 	best := math.Inf(1)
 	bestType := res.Matches[0]
 	for _, t := range res.Matches {
-		m := id.models[t]
-		sum, n, pruned := m.refset.DistanceSumBoundedWord(sc.word, best)
+		sum, n, pruned := id.models[t].refs.DistanceSumBounded(fp.F, best)
 		res.EditDistances += n
 		if pruned {
 			continue
@@ -575,18 +556,17 @@ func (id *Identifier) classifyLocked(fp fingerprint.Fingerprint, workers int, sc
 		workers = 1
 	}
 	accepted := sc.boolBuf(n)
+	// The forests read F′ as floats: expand it into pooled scratch.
+	sc.fprime = fp.FPrime.AppendFloats(sc.fprime[:0])
+	prime := sc.fprime
 	if workers <= 1 {
 		// The sequential bank scan is the steady-state hot path; it
-		// stays closure-free so the probe never escapes to the heap.
+		// stays closure-free.
 		for i := 0; i < n; i++ {
 			m := id.models[id.types[i]]
-			accepted[i] = m.forest.AcceptSoft(fp.FPrime[:], 1, id.cfg.AcceptThreshold)
+			accepted[i] = m.forest.AcceptSoft(prime, 1, id.cfg.AcceptThreshold)
 		}
 	} else {
-		// The fan-out closure must not capture fp: a goroutine-borne
-		// closure forces its captures to the heap even on the branch
-		// that never runs it. Hand it a pooled copy of F′ instead.
-		prime := sc.primeCopy(fp.FPrime[:])
 		forEachIndexed(workers, n, func(i int) {
 			m := id.models[id.types[i]]
 			accepted[i] = m.forest.AcceptSoft(prime, 1, id.cfg.AcceptThreshold)

@@ -18,13 +18,13 @@ func synthTypeProto(sizes []float64, protoFeat, n, pktLen int, seed int64) []fin
 	for i := 0; i < n; i++ {
 		vs := make([]features.Vector, 0, pktLen)
 		for j := 0; j < pktLen; j++ {
-			var v features.Vector
-			v[features.FeatIP] = 1
-			v[protoFeat] = 1
-			v[features.FeatSize] = sizes[rng.Intn(len(sizes))]
-			v[features.FeatDstIPCounter] = float64(j%3 + 1)
-			v[features.FeatSrcPortClass] = 2
-			v[features.FeatDstPortClass] = 1
+			v := features.Vector(0).
+				With(features.FeatIP, 1).
+				With(protoFeat, 1).
+				With(features.FeatSize, uint64(sizes[rng.Intn(len(sizes))])).
+				With(features.FeatDstIPCounter, uint64(j%3+1)).
+				With(features.FeatSrcPortClass, 2).
+				With(features.FeatDstPortClass, 1)
 			vs = append(vs, v)
 		}
 		out = append(out, fingerprint.FromVectors(vs))
@@ -301,7 +301,6 @@ func TestDiscriminationTieBreak(t *testing.T) {
 		id.models["a-near"] = &typeModel{
 			forest: id.models["a-near"].forest,
 			refs:   twin.refs,
-			refset: twin.refset,
 		}
 		res := id.Identify(probe)
 		if !res.Discriminated {

@@ -2,30 +2,73 @@ package core
 
 import (
 	"bytes"
+	"sort"
 	"testing"
 
+	"iotsentinel/internal/devices"
+	"iotsentinel/internal/features"
 	"iotsentinel/internal/fingerprint"
 	"iotsentinel/internal/testutil"
+	"iotsentinel/internal/testutil/floatera"
 )
 
-// Differential oracle for the zero-allocation identification hot path:
-// the retired pipeline — exhaustive SoftProba acceptance and exhaustive
-// DistanceSum discrimination with full per-candidate score maps — lives
-// on here, and the production path (AcceptSoft early exit, shared-vocab
-// interning, budgeted sequential discrimination) is checked against it
-// on every probe class the pipeline distinguishes.
+// Differential oracle for the identification hot path: the retired
+// float-era pipeline — exhaustive SoftProba acceptance over F′ as 276
+// floats built from float rows, and exhaustive discrimination over F
+// interned as float rows with a full-matrix DP, with full per-candidate
+// score maps — lives on here, and the production path (packed words,
+// AcceptSoft early exit, budgeted sequential discrimination) is checked
+// against it on every probe class the pipeline distinguishes.
 
-// refIdentify is the retired Identify, verbatim up to the removed
-// fan-out plumbing (the parallel and sequential paths were already
-// proven bit-identical, so the sequential body is the oracle).
+type floatRow = [features.Count]float64
+
+// floatFPrime is the float-era F′: the first UniquePackets unique rows
+// of F, concatenated, zero-padded.
+func floatFPrime(f fingerprint.F) []float64 {
+	out := make([]float64, fingerprint.FPrimeLen)
+	seen := make(map[floatRow]struct{})
+	used := 0
+	for _, r := range f.Rows() {
+		if used == fingerprint.UniquePackets {
+			break
+		}
+		row := floatRow(r)
+		if _, dup := seen[row]; dup {
+			continue
+		}
+		seen[row] = struct{}{}
+		copy(out[used*features.Count:], r)
+		used++
+	}
+	return out
+}
+
+// floatDistanceSum is the float-era discrimination score: candidate and
+// references interned as float rows into one symbol table, each
+// reference's full-matrix distance normalized and accumulated in order.
+func floatDistanceSum(refs []fingerprint.F, f fingerprint.F) (sum float64, n int) {
+	rows := [][][]float64{f.Rows()}
+	for _, ref := range refs {
+		rows = append(rows, ref.Rows())
+	}
+	words := floatera.Words(rows...)
+	for _, rw := range words[1:] {
+		sum += floatera.Normalized(words[0], rw)
+	}
+	return sum, len(refs)
+}
+
+// refIdentify is the retired float-era Identify, sequential (the
+// parallel and sequential paths were already proven bit-identical).
 func refIdentify(id *Identifier, fp fingerprint.Fingerprint) Result {
 	id.mu.RLock()
 	defer id.mu.RUnlock()
 	var res Result
 	var matches []TypeID
+	prime := floatFPrime(fp.F)
 	for _, t := range id.types {
 		m := id.models[t]
-		if m.forest.SoftProba(fp.FPrime[:])[1] >= id.cfg.AcceptThreshold {
+		if m.forest.SoftProba(prime)[1] >= id.cfg.AcceptThreshold {
 			matches = append(matches, t)
 		}
 	}
@@ -46,8 +89,7 @@ func refIdentify(id *Identifier, fp fingerprint.Fingerprint) Result {
 	scores := make([]float64, len(matches))
 	counts := make([]int, len(matches))
 	for i, t := range matches {
-		m := id.models[t]
-		scores[i], counts[i] = m.refset.DistanceSum(fp.F)
+		scores[i], counts[i] = floatDistanceSum(id.models[t].refs, fp.F)
 	}
 	res.Scores = make(map[TypeID]float64, len(matches))
 	best, bestScore := matches[0], scores[0]
@@ -165,6 +207,47 @@ func TestIdentifyMatchesRetiredPipeline(t *testing.T) {
 	}
 }
 
+// TestIdentifyMatchesFloatEraCatalog trains the paper-sized bank (the
+// first 20 captures per type of devices.GenerateDataset(200, 7)) and
+// checks every one of the dataset's 5,400 fingerprints through Identify
+// and IdentifyBatch against the float-era pipeline: type, accepted set
+// and scores identical.
+func TestIdentifyMatchesFloatEraCatalog(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-catalog oracle")
+	}
+	ds := devices.GenerateDataset(200, 7)
+	names := make([]string, 0, len(ds))
+	for ty := range ds {
+		names = append(names, ty)
+	}
+	sort.Strings(names)
+	train := make(map[TypeID][]fingerprint.Fingerprint, len(ds))
+	var probes []fingerprint.Fingerprint
+	for _, ty := range names {
+		train[TypeID(ty)] = ds[ty][:20]
+		probes = append(probes, ds[ty]...)
+	}
+	id, err := Train(train, Config{Seed: 7, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := id.IdentifyBatch(probes)
+	discriminated := 0
+	for i, fp := range probes {
+		want := refIdentify(id, fp)
+		checkAgainstOracle(t, id.Identify(fp), want, i)
+		checkAgainstOracle(t, batch[i], want, i)
+		if want.Discriminated {
+			discriminated++
+		}
+	}
+	if discriminated == 0 {
+		t.Fatal("no catalog probe exercised discrimination; oracle coverage drifted")
+	}
+	t.Logf("%d probes identical, %d discriminated", len(probes), discriminated)
+}
+
 // TestIdentifyBatchMatchesIdentify pins element-wise equivalence of the
 // batch path (which shares Result buffers per worker) to single calls.
 func TestIdentifyBatchMatchesIdentify(t *testing.T) {
@@ -209,8 +292,7 @@ func TestIdentifyCacheHitZeroAlloc(t *testing.T) {
 
 // BenchmarkIdentifySteadyState is the production single-probe hot path:
 // IdentifyInto with a reused Result on a discriminating sibling probe —
-// classifier bank, shared-vocab interning and budgeted discrimination
-// included.
+// classifier bank, F′ expansion and budgeted discrimination included.
 func BenchmarkIdentifySteadyState(b *testing.B) {
 	id := oracleIdentifier(b, Config{Seed: 7, NegativeRatio: 4, Workers: 1})
 	probe := discriminatingProbe(b, id)

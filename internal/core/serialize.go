@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"io"
 
-	"iotsentinel/internal/editdist"
-	"iotsentinel/internal/features"
 	"iotsentinel/internal/fingerprint"
 	"iotsentinel/internal/ml/rf"
 )
@@ -50,10 +48,10 @@ func (id *Identifier) Save(w io.Writer) error {
 		}
 		td := wireTypeData{ID: string(t), Forest: fbuf.Bytes()}
 		for _, ref := range m.refs {
-			td.Refs = append(td.Refs, fToRows(ref))
+			td.Refs = append(td.Refs, ref.Rows())
 		}
 		for _, fp := range id.pool[t] {
-			td.Pool = append(td.Pool, fToRows(fp.F))
+			td.Pool = append(td.Pool, fp.F.Rows())
 		}
 		out.Types = append(out.Types, td)
 	}
@@ -83,7 +81,6 @@ func LoadIdentifier(r io.Reader) (*Identifier, error) {
 		cfg:    cfg,
 		models: make(map[TypeID]*typeModel, len(in.Types)),
 		pool:   make(map[TypeID][]fingerprint.Fingerprint, len(in.Types)),
-		vocab:  editdist.NewVocab(),
 	}
 	for _, td := range in.Types {
 		t := TypeID(td.ID)
@@ -102,20 +99,19 @@ func LoadIdentifier(r io.Reader) (*Identifier, error) {
 		}
 		m := &typeModel{forest: forest}
 		for i, rows := range td.Refs {
-			f, err := rowsToF(rows)
+			ref, err := fingerprint.FromRows(rows)
 			if err != nil {
 				return nil, fmt.Errorf("core: load %q ref %d: %w", t, i, err)
 			}
-			m.refs = append(m.refs, f)
+			m.refs = append(m.refs, ref.F)
 		}
-		m.refset = editdist.NewRefSetVocab(id.vocab, m.refs)
 		id.models[t] = m
 		for i, rows := range td.Pool {
-			f, err := rowsToF(rows)
+			fp, err := fingerprint.FromRows(rows)
 			if err != nil {
 				return nil, fmt.Errorf("core: load %q pool %d: %w", t, i, err)
 			}
-			id.pool[t] = append(id.pool[t], fingerprint.FromVectors(f))
+			id.pool[t] = append(id.pool[t], fp)
 		}
 		if len(id.pool[t]) == 0 {
 			return nil, fmt.Errorf("core: load %q: empty training pool", t)
@@ -151,23 +147,4 @@ func (id *Identifier) Clone() (*Identifier, error) {
 	// this bank continues the same counter series.
 	out.SetMetrics(metrics)
 	return out, nil
-}
-
-func fToRows(f fingerprint.F) [][]float64 {
-	rows := make([][]float64, len(f))
-	for i, v := range f {
-		rows[i] = append([]float64(nil), v[:]...)
-	}
-	return rows
-}
-
-func rowsToF(rows [][]float64) (fingerprint.F, error) {
-	f := make(fingerprint.F, len(rows))
-	for i, row := range rows {
-		if len(row) != features.Count {
-			return nil, fmt.Errorf("row %d has %d features, want %d", i, len(row), features.Count)
-		}
-		copy(f[i][:], row)
-	}
-	return f, nil
 }

@@ -2,10 +2,12 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"runtime"
 	"strings"
 	"testing"
 
+	"iotsentinel/internal/features"
 	"iotsentinel/internal/fingerprint"
 )
 
@@ -178,5 +180,35 @@ func TestLoadIdentifierErrors(t *testing.T) {
 				t.Error("want error")
 			}
 		})
+	}
+}
+
+// TestLoadIdentifierRejectsNonFeatureValues: a model whose reference or
+// pool rows hold a value no packet can have fails to load, naming the
+// feature, instead of being silently accepted.
+func TestLoadIdentifierRejectsNonFeatureValues(t *testing.T) {
+	id, _ := trainedIdentifier(t)
+	var buf bytes.Buffer
+	if err := id.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, field := range []string{"refs", "pool"} {
+		var w wireIdentifier
+		if err := json.Unmarshal(buf.Bytes(), &w); err != nil {
+			t.Fatal(err)
+		}
+		rows := w.Types[0].Refs
+		if field == "pool" {
+			rows = w.Types[0].Pool
+		}
+		rows[0][1][features.FeatSize] = 0.5
+		tampered, err := json.Marshal(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = LoadIdentifier(bytes.NewReader(tampered))
+		if err == nil || !strings.Contains(err.Error(), "row 1") || !strings.Contains(err.Error(), "size") {
+			t.Errorf("%s: LoadIdentifier error %v, want one naming row 1 and feature size", field, err)
+		}
 	}
 }

@@ -9,10 +9,10 @@ import (
 	"iotsentinel/internal/fingerprint"
 )
 
-func word(s string) []int {
-	out := make([]int, len(s))
+func word(s string) fingerprint.F {
+	out := make(fingerprint.F, len(s))
 	for i, c := range []byte(s) {
-		out[i] = int(c)
+		out[i] = features.Vector(c)
 	}
 	return out
 }
@@ -98,13 +98,13 @@ func TestNormalizedBounded(t *testing.T) {
 // comparing against the limit — the property clustering linkage
 // depends on.
 func TestNormalizedBoundedAgreesWithExact(t *testing.T) {
-	clamp := func(s []uint8) []int {
+	clamp := func(s []uint8) fingerprint.F {
 		if len(s) > 20 {
 			s = s[:20]
 		}
-		out := make([]int, len(s))
+		out := make(fingerprint.F, len(s))
 		for i, c := range s {
-			out[i] = int(c % 4)
+			out[i] = features.Vector(c % 4)
 		}
 		return out
 	}
@@ -124,13 +124,13 @@ func TestNormalizedBoundedAgreesWithExact(t *testing.T) {
 }
 
 func TestDistanceProperties(t *testing.T) {
-	clamp := func(s []uint8) []int {
+	clamp := func(s []uint8) fingerprint.F {
 		if len(s) > 20 {
 			s = s[:20]
 		}
-		out := make([]int, len(s))
+		out := make(fingerprint.F, len(s))
 		for i, c := range s {
-			out[i] = int(c % 4) // small alphabet encourages transpositions
+			out[i] = features.Vector(c % 4) // small alphabet encourages transpositions
 		}
 		return out
 	}
@@ -173,76 +173,56 @@ func TestDistanceProperties(t *testing.T) {
 	}
 }
 
-func TestInterner(t *testing.T) {
-	in := NewInterner()
-	var a, b features.Vector
-	a[features.FeatSize] = 60
-	b[features.FeatSize] = 90
-	w := in.Word(fingerprint.F{a, b, a})
-	if len(w) != 3 {
-		t.Fatalf("len = %d", len(w))
-	}
-	if w[0] != w[2] || w[0] == w[1] {
-		t.Errorf("interning wrong: %v", w)
-	}
-	if in.Size() != 2 {
-		t.Errorf("Size = %d, want 2", in.Size())
-	}
-}
-
+// TestFingerprintDistance checks Normalized on packet-vector
+// fingerprints, the distance eval's edit-distance probe reports.
 func TestFingerprintDistance(t *testing.T) {
-	var a, b, c features.Vector
-	a[features.FeatSize] = 60
-	b[features.FeatSize] = 90
-	c[features.FeatSize] = 120
+	a, b, c := sized(60), sized(90), sized(120)
 	f1 := fingerprint.F{a, b, c}
 	f2 := fingerprint.F{a, b, c}
-	if d := FingerprintDistance(f1, f2); d != 0 {
+	if d := Normalized(f1, f2); d != 0 {
 		t.Errorf("identical fingerprints: distance %v", d)
 	}
 	f3 := fingerprint.F{a, c, b} // one transposition of 3 characters
-	if d := FingerprintDistance(f1, f3); d != 1.0/3.0 {
+	if d := Normalized(f1, f3); d != 1.0/3.0 {
 		t.Errorf("transposed fingerprints: distance %v, want 1/3", d)
 	}
-	if d := FingerprintDistance(f1, nil); d != 1 {
+	if d := Normalized(f1, nil); d != 1 {
 		t.Errorf("distance to empty = %v, want 1", d)
 	}
+}
+
+func sized(size int) features.Vector {
+	return features.Vector(0).With(features.FeatSize, uint64(size))
 }
 
 func mkF(n, seed int) fingerprint.F {
 	var f fingerprint.F
 	for i := 0; i < n; i++ {
-		var v features.Vector
-		v[features.FeatSize] = float64((i*13 + seed) % 11 * 60)
-		v[features.FeatSrcPortClass] = float64((i + seed) % 3)
-		f = append(f, v)
+		f = append(f, sized((i*13+seed)%11*60).With(features.FeatSrcPortClass, uint64((i+seed)%3)))
 	}
 	return f
 }
 
 func TestRefSetMatchesFingerprintDistance(t *testing.T) {
 	refs := []fingerprint.F{mkF(40, 5), mkF(35, 9), mkF(40, 2), mkF(12, 7), mkF(28, 3)}
-	rs := NewRefSet(refs)
-	if rs.Len() != len(refs) {
-		t.Fatalf("Len = %d, want %d", rs.Len(), len(refs))
-	}
+	rs := RefSet(refs)
 	for _, cand := range []fingerprint.F{mkF(40, 1), mkF(33, 5), mkF(1, 0), nil, refs[2]} {
 		var want float64
 		for _, ref := range refs {
-			want += FingerprintDistance(cand, ref)
+			want += Normalized(cand, ref)
 		}
 		got, n := rs.DistanceSum(cand)
 		if n != len(refs) {
 			t.Errorf("DistanceSum n = %d, want %d", n, len(refs))
 		}
 		if got != want {
-			t.Errorf("DistanceSum = %v, want %v (per-call FingerprintDistance sum)", got, want)
+			t.Errorf("DistanceSum = %v, want %v (per-reference Normalized sum)", got, want)
 		}
 	}
 }
 
 func TestRefSetEmpty(t *testing.T) {
-	rs := NewRefSet(nil)
+	rs := RefSet(nil)
 	sum, n := rs.DistanceSum(mkF(10, 1))
 	if sum != 0 || n != 0 {
 		t.Errorf("empty RefSet: sum=%v n=%d, want 0, 0", sum, n)
@@ -250,7 +230,7 @@ func TestRefSetEmpty(t *testing.T) {
 }
 
 func TestRefSetConcurrent(t *testing.T) {
-	rs := NewRefSet([]fingerprint.F{mkF(40, 5), mkF(35, 9)})
+	rs := RefSet([]fingerprint.F{mkF(40, 5), mkF(35, 9)})
 	want, _ := rs.DistanceSum(mkF(40, 1))
 	done := make(chan float64, 8)
 	for i := 0; i < 8; i++ {
@@ -266,10 +246,10 @@ func TestRefSetConcurrent(t *testing.T) {
 	}
 }
 
-func benchWord(n int, seed int) []int {
-	out := make([]int, n)
+func benchWord(n int, seed int) fingerprint.F {
+	out := make(fingerprint.F, n)
 	for i := range out {
-		out[i] = (i*7 + seed) % 9
+		out[i] = features.Vector((i*7 + seed) % 9)
 	}
 	return out
 }
@@ -290,45 +270,6 @@ func BenchmarkDistance128(b *testing.B) {
 	}
 }
 
-func BenchmarkFingerprintDistance(b *testing.B) {
-	mk := func(seed int) fingerprint.F {
-		var f fingerprint.F
-		for i := 0; i < 40; i++ {
-			var v features.Vector
-			v[features.FeatSize] = float64((i*13 + seed) % 11 * 60)
-			f = append(f, v)
-		}
-		return f
-	}
-	x, y := mk(1), mk(5)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = FingerprintDistance(x, y)
-	}
-}
-
-// The before/after pair for the per-call re-interning fix: one
-// discrimination step scores a candidate against a type's 5 reference
-// fingerprints.
-
-// BenchmarkDiscriminatePerCallInterner is the old hot path: a fresh
-// Interner per (candidate, reference) pair re-hashes all references on
-// every call.
-func BenchmarkDiscriminatePerCallInterner(b *testing.B) {
-	refs := []fingerprint.F{mkF(40, 5), mkF(35, 9), mkF(40, 2), mkF(12, 7), mkF(28, 3)}
-	cand := mkF(40, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var sum float64
-		for _, ref := range refs {
-			sum += FingerprintDistance(cand, ref)
-		}
-		_ = sum
-	}
-}
-
 // typeF builds a fingerprint for one synthetic device type: an
 // unrelated base packet sequence per type seed, with nMut columns
 // perturbed to model capture-to-capture variation within the type.
@@ -336,16 +277,11 @@ func typeF(typeSeed, n, nMut, mutSeed int) fingerprint.F {
 	rng := rand.New(rand.NewSource(int64(typeSeed)))
 	f := make(fingerprint.F, n)
 	for i := range f {
-		var v features.Vector
-		v[features.FeatSize] = float64(rng.Intn(12) * 60)
-		v[features.FeatSrcPortClass] = float64(rng.Intn(3))
-		f[i] = v
+		f[i] = sized(rng.Intn(12)*60).With(features.FeatSrcPortClass, uint64(rng.Intn(3)))
 	}
 	for m := 0; m < nMut && m < n; m++ {
 		i := (m*17 + mutSeed*5) % n
-		var v features.Vector
-		v[features.FeatSize] = float64(2000 + i*31 + mutSeed*7)
-		f[i] = v
+		f[i] = sized(2000 + i*31 + mutSeed*7)
 	}
 	return f
 }
@@ -353,49 +289,42 @@ func typeF(typeSeed, n, nMut, mutSeed int) fingerprint.F {
 // discriminationPair is the production discrimination shape of Sect.
 // IV-B2: the candidate fingerprint belongs to type A (close to all of
 // A's references), and is also scored against sibling type B (an
-// unrelated packet sequence). Both types share one vocabulary, as in
-// core's shared feature-vector pass. Returns B's RefSet, the
-// candidate's pre-interned word, and the current-best bound A's exact
-// score established.
-func discriminationPair() (rsB *RefSet, word []int, best float64) {
-	voc := NewVocab()
+// unrelated packet sequence). Returns B's RefSet, the candidate, and
+// the current-best bound A's exact score established.
+func discriminationPair() (rsB RefSet, cand fingerprint.F, best float64) {
 	refsA := make([]fingerprint.F, 5)
 	refsB := make([]fingerprint.F, 5)
 	for i := range refsA {
 		refsA[i] = typeF(1, 40, 1, i+1)
 		refsB[i] = typeF(2, 40, 1, i+1)
 	}
-	rsA := NewRefSetVocab(voc, refsA)
-	rsB = NewRefSetVocab(voc, refsB)
-	cand := typeF(1, 40, 1, 9)
-	word = voc.AppendWord(nil, cand)
-	best, _, _ = rsA.DistanceSumBoundedWord(word, 1e300)
-	return rsB, word, best
+	cand = typeF(1, 40, 1, 9)
+	best, _ = RefSet(refsA).DistanceSum(cand)
+	return refsB, cand, best
 }
 
 // BenchmarkDiscriminateRefSet is the production hot path of one
-// discrimination scoring call: the candidate is interned once per
-// identification, and every type after the first is scored under the
-// current best sum as its bound, abandoning as soon as it provably
-// cannot win. (The first, unbounded scoring with per-call interning is
+// discrimination scoring call: every type after the first is scored
+// under the current best sum as its bound, abandoning as soon as it
+// provably cannot win. (The first, unbounded scoring is
 // BenchmarkDiscriminateRefSetExact.)
 func BenchmarkDiscriminateRefSet(b *testing.B) {
-	rsB, word, best := discriminationPair()
-	if _, _, pruned := rsB.DistanceSumBoundedWord(word, best); !pruned {
+	rsB, cand, best := discriminationPair()
+	if _, _, pruned := rsB.DistanceSumBounded(cand, best); !pruned {
 		b.Fatalf("losing type not pruned (best=%v): benchmark setup drifted", best)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _, _ = rsB.DistanceSumBoundedWord(word, best)
+		_, _, _ = rsB.DistanceSumBounded(cand, best)
 	}
 }
 
 // BenchmarkDiscriminateRefSetExact is the unbudgeted scoring (the
-// first candidate of every discrimination, and the old hot path for
-// all of them): every reference fully computed.
+// first candidate of every discrimination): every reference fully
+// computed.
 func BenchmarkDiscriminateRefSetExact(b *testing.B) {
-	rs := NewRefSet([]fingerprint.F{mkF(40, 5), mkF(35, 9), mkF(40, 2), mkF(12, 7), mkF(28, 3)})
+	rs := RefSet([]fingerprint.F{mkF(40, 5), mkF(35, 9), mkF(40, 2), mkF(12, 7), mkF(28, 3)})
 	cand := mkF(40, 1)
 	b.ReportAllocs()
 	b.ResetTimer()

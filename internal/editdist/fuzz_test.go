@@ -43,10 +43,10 @@ func FuzzBandedDistance(f *testing.F) {
 			limit = -1
 		}
 		want := naiveDistance(a, b)
-		if got := Distance(a, b); got != want {
+		if got := Distance(packed(a), packed(b)); got != want {
 			t.Fatalf("Distance = %d, naive %d (a=%v b=%v)", got, want, a, b)
 		}
-		got := DistanceBounded(a, b, limit)
+		got := DistanceBounded(packed(a), packed(b), limit)
 		if want <= limit && got != want {
 			t.Fatalf("DistanceBounded(limit=%d) = %d, naive %d (a=%v b=%v)", limit, got, want, a, b)
 		}

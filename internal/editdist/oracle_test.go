@@ -3,11 +3,14 @@ package editdist
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
+	"iotsentinel/internal/devices"
 	"iotsentinel/internal/features"
 	"iotsentinel/internal/fingerprint"
 	"iotsentinel/internal/testutil"
+	"iotsentinel/internal/testutil/floatera"
 )
 
 // naiveDistance is the retired full-matrix implementation, kept
@@ -51,27 +54,17 @@ func naiveDistance(a, b []int) int {
 	return prev[lb]
 }
 
-// naiveDistanceSum is the retired discrimination scoring: the
-// candidate interned against the frozen table with a fresh overlay,
-// then every reference fully computed and accumulated in order.
-func naiveDistanceSum(rs *RefSet, f fingerprint.F) (sum float64, n int) {
-	word := make([]int, len(f))
-	overlay := make(map[features.Vector]int)
-	next := len(rs.symbols)
-	for i, v := range f {
-		if s, ok := rs.symbols[v]; ok {
-			word[i] = s
-			continue
-		}
-		if s, ok := overlay[v]; ok {
-			word[i] = s
-			continue
-		}
-		overlay[v] = next
-		word[i] = next
-		next++
+// naiveDistanceSum is the retired discrimination scoring: candidate and
+// references interned as float rows, then every reference fully
+// computed and accumulated in order.
+func naiveDistanceSum(rs RefSet, f fingerprint.F) (sum float64, n int) {
+	rows := [][][]float64{f.Rows()}
+	for _, ref := range rs {
+		rows = append(rows, ref.Rows())
 	}
-	for _, rw := range rs.words {
+	words := floatera.Words(rows...)
+	word := words[0]
+	for _, rw := range words[1:] {
 		ml := len(word)
 		if len(rw) > ml {
 			ml = len(rw)
@@ -81,7 +74,7 @@ func naiveDistanceSum(rs *RefSet, f fingerprint.F) (sum float64, n int) {
 		}
 		sum += float64(naiveDistance(word, rw)) / float64(ml)
 	}
-	return sum, len(rs.words)
+	return sum, len(rs)
 }
 
 func randWord(rng *rand.Rand, n, alphabet int) []int {
@@ -90,6 +83,16 @@ func randWord(rng *rand.Rand, n, alphabet int) []int {
 		w[i] = rng.Intn(alphabet)
 	}
 	return w
+}
+
+// packed maps a symbol word to packet vectors: distinct symbols,
+// distinct words.
+func packed(w []int) fingerprint.F {
+	f := make(fingerprint.F, len(w))
+	for i, s := range w {
+		f[i] = features.Vector(s)
+	}
+	return f
 }
 
 // TestDistanceMatchesNaive checks the full-band Distance against the
@@ -101,7 +104,7 @@ func TestDistanceMatchesNaive(t *testing.T) {
 		la, lb := rng.Intn(40), rng.Intn(40)
 		alpha := 1 + rng.Intn(6)
 		a, b := randWord(rng, la, alpha), randWord(rng, lb, alpha)
-		if got, want := Distance(a, b), naiveDistance(a, b); got != want {
+		if got, want := Distance(packed(a), packed(b)), naiveDistance(a, b); got != want {
 			t.Fatalf("Distance(%v, %v) = %d, naive %d", a, b, got, want)
 		}
 	}
@@ -118,7 +121,7 @@ func TestDistanceBoundedMatchesNaive(t *testing.T) {
 		a, b := randWord(rng, la, alpha), randWord(rng, lb, alpha)
 		want := naiveDistance(a, b)
 		for limit := -1; limit <= la+lb+1; limit++ {
-			got := DistanceBounded(a, b, limit)
+			got := DistanceBounded(packed(a), packed(b), limit)
 			if want <= limit {
 				if got != want {
 					t.Fatalf("DistanceBounded(%v, %v, %d) = %d, naive %d", a, b, limit, got, want)
@@ -141,7 +144,7 @@ func TestDistanceSumBoundedContract(t *testing.T) {
 		for i := range refs {
 			refs[i] = mkF(1+rng.Intn(30), rng.Intn(7))
 		}
-		rs := NewRefSet(refs)
+		rs := RefSet(refs)
 		cand := mkF(1+rng.Intn(30), rng.Intn(9))
 		exact, exactN := naiveDistanceSum(rs, cand)
 
@@ -169,54 +172,6 @@ func TestDistanceSumBoundedContract(t *testing.T) {
 	}
 }
 
-// TestVocabWordMatchesPrivateInterning checks the shared-vocabulary
-// path end to end: words from AppendWord scored with
-// DistanceSumBoundedWord must produce bit-identical sums to a
-// private-table RefSet interning the candidate itself — for
-// candidates fully covered by the vocab, fully novel, and mixed.
-func TestVocabWordMatchesPrivateInterning(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 200; trial++ {
-		voc := NewVocab()
-		nTypes := 2 + rng.Intn(3)
-		var shared []*RefSet
-		var private []*RefSet
-		for ty := 0; ty < nTypes; ty++ {
-			refs := make([]fingerprint.F, 1+rng.Intn(4))
-			for i := range refs {
-				refs[i] = mkF(1+rng.Intn(25), ty*3+i)
-			}
-			shared = append(shared, NewRefSetVocab(voc, refs))
-			private = append(private, NewRefSet(refs))
-		}
-		cand := mkF(1+rng.Intn(25), 50+rng.Intn(8))
-		word := voc.AppendWord(nil, cand)
-		for ty := range shared {
-			wantSum, wantN := private[ty].DistanceSum(cand)
-			gotSum, gotN, pruned := shared[ty].DistanceSumBoundedWord(word, math.Inf(1))
-			if pruned || gotSum != wantSum || gotN != wantN {
-				t.Fatalf("trial %d type %d: word path = (%v, %d, pruned=%v), private = (%v, %d)",
-					trial, ty, gotSum, gotN, pruned, wantSum, wantN)
-			}
-		}
-	}
-}
-
-func TestVocabAppendWordZeroAllocSteadyState(t *testing.T) {
-	voc := NewVocab()
-	refs := []fingerprint.F{mkF(40, 5), mkF(35, 9)}
-	rs := NewRefSetVocab(voc, refs)
-	cand := mkF(40, 1)
-	word := make([]int, 0, 64)
-	testutil.AssertZeroAllocs(t, "AppendWord", func() {
-		word = voc.AppendWord(word[:0], cand)
-	})
-	word = voc.AppendWord(word[:0], cand)
-	testutil.AssertZeroAllocs(t, "DistanceSumBoundedWord", func() {
-		rs.DistanceSumBoundedWord(word, 1.0)
-	})
-}
-
 func TestDistanceBoundedZeroAlloc(t *testing.T) {
 	a, b := benchWord(64, 1), benchWord(64, 3)
 	testutil.AssertZeroAllocs(t, "Distance", func() { Distance(a, b) })
@@ -224,8 +179,52 @@ func TestDistanceBoundedZeroAlloc(t *testing.T) {
 }
 
 func TestDistanceSumZeroAlloc(t *testing.T) {
-	rs := NewRefSet([]fingerprint.F{mkF(40, 5), mkF(35, 9), mkF(40, 2), mkF(12, 7), mkF(28, 3)})
+	rs := RefSet([]fingerprint.F{mkF(40, 5), mkF(35, 9), mkF(40, 2), mkF(12, 7), mkF(28, 3)})
 	cand := mkF(40, 1)
 	testutil.AssertZeroAllocs(t, "DistanceSum", func() { rs.DistanceSum(cand) })
 	testutil.AssertZeroAllocs(t, "DistanceSumBounded", func() { rs.DistanceSumBounded(cand, 1.0) })
+}
+
+// TestRefSetMatchesFloatEraCatalog scores fingerprints of
+// devices.GenerateDataset(200, 7) against every type's first five
+// captures as references: each distance sum must be bit-identical to
+// the float-era scoring, and bounded scoring at the exact sum must
+// prune exactly as the float-era sum dictates.
+func TestRefSetMatchesFloatEraCatalog(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-catalog oracle")
+	}
+	ds := devices.GenerateDataset(200, 7)
+	types := make([]string, 0, len(ds))
+	for ty := range ds {
+		types = append(types, ty)
+	}
+	sort.Strings(types)
+	refsets := make([]RefSet, len(types))
+	for i, ty := range types {
+		for _, fp := range ds[ty][:5] {
+			refsets[i] = append(refsets[i], fp.F)
+		}
+	}
+	sums := 0
+	for _, ty := range types {
+		for c := 5; c < len(ds[ty]); c += 25 {
+			cand := ds[ty][c].F
+			for _, rs := range refsets {
+				want, wantN := naiveDistanceSum(rs, cand)
+				got, n := rs.DistanceSum(cand)
+				if got != want || n != wantN {
+					t.Fatalf("%s capture %d: DistanceSum = (%v, %d), float-era (%v, %d)", ty, c, got, n, want, wantN)
+				}
+				if _, _, pruned := rs.DistanceSumBounded(cand, want); !pruned && want > 0 {
+					t.Fatalf("%s capture %d: not pruned at its own sum %v", ty, c, want)
+				}
+				if sum, _, pruned := rs.DistanceSumBounded(cand, math.Nextafter(want, math.Inf(1))); pruned || sum != want {
+					t.Fatalf("%s capture %d: bounded just above the sum = (%v, pruned=%v), float-era %v", ty, c, sum, pruned, want)
+				}
+				sums++
+			}
+		}
+	}
+	t.Logf("%d distance sums identical", sums)
 }

@@ -101,7 +101,9 @@ func extractRows(t *testing.T, f *os.File) [][features.Count]float64 {
 		if err != nil {
 			t.Fatalf("corpus frame does not decode: %v", err)
 		}
-		rows = append(rows, ex.Extract(pk))
+		var row [features.Count]float64
+		copy(row[:], ex.Extract(pk).AppendFloats(nil))
+		rows = append(rows, row)
 	}
 	return rows
 }

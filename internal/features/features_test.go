@@ -46,31 +46,31 @@ func TestPortClass(t *testing.T) {
 func TestExtractDHCP(t *testing.T) {
 	p := packet.NewDHCPDiscover(mac1, 1, "dev")
 	v := NewExtractor().Extract(p)
-	for idx, want := range map[int]float64{
+	for idx, want := range map[int]uint64{
 		FeatIP: 1, FeatUDP: 1, FeatDHCP: 1, FeatBOOTP: 1,
 		FeatRawData: 1, FeatSrcPortClass: 1, FeatDstPortClass: 1,
 		FeatARP: 0, FeatTCP: 0, FeatHTTP: 0,
 	} {
-		if v[idx] != want {
-			t.Errorf("%s = %v, want %v", Names[idx], v[idx], want)
+		if v.Field(idx) != want {
+			t.Errorf("%s = %v, want %v", Names[idx], v.Field(idx), want)
 		}
 	}
-	if v[FeatSize] <= 0 {
+	if v.Field(FeatSize) == 0 {
 		t.Error("size feature must be positive")
 	}
-	if v[FeatDstIPCounter] != 1 {
-		t.Errorf("dst counter = %v, want 1", v[FeatDstIPCounter])
+	if v.Field(FeatDstIPCounter) != 1 {
+		t.Errorf("dst counter = %v, want 1", v.Field(FeatDstIPCounter))
 	}
 }
 
 func TestExtractARP(t *testing.T) {
 	p := packet.NewARP(mac1, ip1, gw)
 	v := NewExtractor().Extract(p)
-	if v[FeatARP] != 1 || v[FeatIP] != 0 || v[FeatDstIPCounter] != 0 {
+	if v.Field(FeatARP) != 1 || v.Field(FeatIP) != 0 || v.Field(FeatDstIPCounter) != 0 {
 		t.Errorf("ARP features wrong: arp=%v ip=%v ctr=%v",
-			v[FeatARP], v[FeatIP], v[FeatDstIPCounter])
+			v.Field(FeatARP), v.Field(FeatIP), v.Field(FeatDstIPCounter))
 	}
-	if v[FeatSrcPortClass] != 0 || v[FeatDstPortClass] != 0 {
+	if v.Field(FeatSrcPortClass) != 0 || v.Field(FeatDstPortClass) != 0 {
 		t.Error("ARP must have port class 0")
 	}
 }
@@ -79,14 +79,14 @@ func TestExtractHTTPSAndOptions(t *testing.T) {
 	p := packet.NewTLSClientHello(mac1, mac2, ip1, ext1, 49500, 200)
 	p.IPOpts = packet.IPv4Options{Padding: true, RouterAlert: true}
 	v := NewExtractor().Extract(p)
-	if v[FeatHTTPS] != 1 || v[FeatTCP] != 1 {
+	if v.Field(FeatHTTPS) != 1 || v.Field(FeatTCP) != 1 {
 		t.Error("HTTPS/TCP bits not set")
 	}
-	if v[FeatPadding] != 1 || v[FeatRouterAlert] != 1 {
+	if v.Field(FeatPadding) != 1 || v.Field(FeatRouterAlert) != 1 {
 		t.Error("IP option bits not set")
 	}
-	if v[FeatSrcPortClass] != 3 || v[FeatDstPortClass] != 1 {
-		t.Errorf("port classes = %v/%v, want 3/1", v[FeatSrcPortClass], v[FeatDstPortClass])
+	if v.Field(FeatSrcPortClass) != 3 || v.Field(FeatDstPortClass) != 1 {
+		t.Errorf("port classes = %v/%v, want 3/1", v.Field(FeatSrcPortClass), v.Field(FeatDstPortClass))
 	}
 }
 
@@ -96,14 +96,14 @@ func TestDstIPCounterOrder(t *testing.T) {
 		return packet.NewUDP(mac1, mac2, ip1, dst, 40000, 9999, nil)
 	}
 	seq := []netip.Addr{gw, ext1, gw, ext2, ext1}
-	want := []float64{1, 2, 1, 3, 2}
+	want := []uint64{1, 2, 1, 3, 2}
 	for i, dst := range seq {
-		if got := e.Extract(mk(dst))[FeatDstIPCounter]; got != want[i] {
+		if got := e.Extract(mk(dst)).Field(FeatDstIPCounter); got != want[i] {
 			t.Errorf("packet %d counter = %v, want %v", i, got, want[i])
 		}
 	}
 	e.Reset()
-	if got := e.Extract(mk(ext2))[FeatDstIPCounter]; got != 1 {
+	if got := e.Extract(mk(ext2)).Field(FeatDstIPCounter); got != 1 {
 		t.Errorf("counter after reset = %v, want 1", got)
 	}
 }
@@ -118,10 +118,10 @@ func TestExtractAll(t *testing.T) {
 	if len(vs) != 3 {
 		t.Fatalf("len = %d", len(vs))
 	}
-	if vs[1][FeatDstIPCounter] != 1 || vs[2][FeatDstIPCounter] != 2 {
-		t.Errorf("counters = %v, %v", vs[1][FeatDstIPCounter], vs[2][FeatDstIPCounter])
+	if vs[1].Field(FeatDstIPCounter) != 1 || vs[2].Field(FeatDstIPCounter) != 2 {
+		t.Errorf("counters = %v, %v", vs[1].Field(FeatDstIPCounter), vs[2].Field(FeatDstIPCounter))
 	}
-	if vs[2][FeatNTP] != 1 {
+	if vs[2].Field(FeatNTP) != 1 {
 		t.Error("NTP bit not set")
 	}
 }
@@ -132,8 +132,7 @@ func TestVectorEqual(t *testing.T) {
 	if !a.Equal(b) {
 		t.Error("identical packets must have equal vectors")
 	}
-	c := b
-	c[FeatSize]++
+	c := b.With(FeatSize, b.Field(FeatSize)+1)
 	if a.Equal(c) {
 		t.Error("vectors differing in size must not be equal")
 	}
@@ -156,19 +155,15 @@ func TestBinaryFeaturesAreBinary(t *testing.T) {
 		for i := 0; i < Count; i++ {
 			switch i {
 			case FeatSize:
-				if v[i] <= 0 {
-					return false
-				}
-			case FeatDstIPCounter:
-				if v[i] < 0 {
+				if v.Field(i) == 0 {
 					return false
 				}
 			case FeatSrcPortClass, FeatDstPortClass:
-				if v[i] < 0 || v[i] > 3 {
+				if v.Field(i) > 3 {
 					return false
 				}
 			default:
-				if v[i] != 0 && v[i] != 1 {
+				if v.Field(i) != 0 && v.Field(i) != 1 {
 					return false
 				}
 			}

@@ -3,9 +3,13 @@
 //   - F: the variable-length sequence of 23-feature packet vectors for
 //     the setup-phase packets of one device, with consecutive identical
 //     vectors discarded.
-//   - F′ ("FPrime"): a fixed 276-dimensional vector formed by
-//     concatenating the first 12 *unique* packet vectors of F,
-//     zero-padded when fewer than 12 unique vectors exist.
+//   - F′ ("FPrime"): the first 12 *unique* packet vectors of F,
+//     zero-padded when fewer than 12 unique vectors exist. Forests read
+//     it as a 276-dimensional float vector (FPrime.AppendFloats).
+//
+// Packet vectors are packed words (features.Vector). The JSON formats
+// carry F as one 23-float row per packet; Rows and FromRows are the one
+// codec for them.
 //
 // It also implements the setup-phase end detection the paper describes:
 // the setup phase ends when the packet rate drops below a fraction of
@@ -13,6 +17,8 @@
 package fingerprint
 
 import (
+	"fmt"
+	"slices"
 	"time"
 
 	"iotsentinel/internal/features"
@@ -32,8 +38,19 @@ const FPrimeLen = UniquePackets * features.Count
 // one "character" for the edit-distance discrimination step.
 type F []features.Vector
 
-// FPrime is the fixed-size fingerprint used for classification.
-type FPrime [FPrimeLen]float64
+// FPrime is the fixed-size fingerprint used for classification: the
+// first UniquePackets unique vectors of F, zero words padding the
+// tail. Forests read its FPrimeLen-float expansion (AppendFloats).
+type FPrime [UniquePackets]features.Vector
+
+// AppendFloats appends the FPrimeLen-float expansion of p to dst: the
+// 23 features of each slot in order, a zero slot expanding to zeros.
+func (p *FPrime) AppendFloats(dst []float64) []float64 {
+	for _, v := range p {
+		dst = v.AppendFloats(dst)
+	}
+	return dst
+}
 
 // Fingerprint bundles both representations for one device observation.
 type Fingerprint struct {
@@ -48,24 +65,23 @@ type Fingerprint struct {
 // sequence (one device's setup traffic).
 func FromVectors(vs []features.Vector) Fingerprint {
 	f := dedupeConsecutive(vs)
-	fp, n := fprimeOf(f, UniquePackets)
-	var fixed FPrime
-	copy(fixed[:], fp)
-	return Fingerprint{F: f, FPrime: fixed, UniqueCount: n}
+	fp := Fingerprint{F: f}
+	for _, v := range f {
+		if fp.UniqueCount == UniquePackets {
+			break
+		}
+		if !slices.Contains(fp.FPrime[:fp.UniqueCount], v) {
+			fp.FPrime[fp.UniqueCount] = v
+			fp.UniqueCount++
+		}
+	}
+	return fp
 }
 
 // FromPackets extracts features (with fresh destination-IP counter
 // state) and builds the Fingerprint.
 func FromPackets(pkts []*packet.Packet) Fingerprint {
 	return FromVectors(features.ExtractAll(pkts))
-}
-
-// TruncatedFPrime builds a variable-length analogue of F′ using the
-// first n unique vectors instead of 12. It exists for the fingerprint-
-// length ablation study; n must be positive.
-func TruncatedFPrime(f F, n int) []float64 {
-	fp, _ := fprimeOf(f, n)
-	return fp
 }
 
 // dedupeConsecutive drops packets identical (in feature space) to their
@@ -81,28 +97,31 @@ func dedupeConsecutive(vs []features.Vector) F {
 	return out
 }
 
-// fprimeOf concatenates the first n globally unique vectors of f into a
-// flat feature slice of length n*features.Count, zero padding the tail.
-// It returns the padded slice and the number of unique vectors used.
-// Uniqueness is tracked in a hash set: features.Vector is a comparable
-// array whose map-key equality matches Vector.Equal (features are
-// finite, so the float == / map-key divergence on NaN cannot occur).
-func fprimeOf(f F, n int) ([]float64, int) {
-	out := make([]float64, n*features.Count)
-	seen := make(map[features.Vector]struct{}, n)
-	used := 0
-	for _, v := range f {
-		if used == n {
-			break
-		}
-		if _, dup := seen[v]; dup {
-			continue
-		}
-		seen[v] = struct{}{}
-		copy(out[used*features.Count:], v[:])
-		used++
+// Rows expands f into one float row per packet: the form F takes in
+// every JSON format (model files, journals, snapshots, the HTTP API).
+func (f F) Rows() [][]float64 {
+	flat := make([]float64, 0, len(f)*features.Count)
+	rows := make([][]float64, len(f))
+	for i, v := range f {
+		flat = v.AppendFloats(flat)
+		rows[i] = flat[i*features.Count : len(flat) : len(flat)]
 	}
-	return out, used
+	return rows
+}
+
+// FromRows is the inverse of Rows: it validates every row through
+// features.FromFloats (the error names the row and the feature) and
+// builds the Fingerprint, re-deriving F′ from F.
+func FromRows(rows [][]float64) (Fingerprint, error) {
+	vs := make([]features.Vector, len(rows))
+	for i, row := range rows {
+		v, err := features.FromFloats(row)
+		if err != nil {
+			return Fingerprint{}, fmt.Errorf("row %d: %w", i, err)
+		}
+		vs[i] = v
+	}
+	return FromVectors(vs), nil
 }
 
 // SetupCapture accumulates timestamped packets for one device and

@@ -2,9 +2,12 @@ package fingerprint
 
 import (
 	"net/netip"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"iotsentinel/internal/features"
 	"iotsentinel/internal/packet"
@@ -17,10 +20,8 @@ var (
 	gw   = netip.AddrFrom4([4]byte{192, 168, 1, 1})
 )
 
-func vec(size float64) features.Vector {
-	var v features.Vector
-	v[features.FeatSize] = size
-	return v
+func vec(size uint64) features.Vector {
+	return features.Vector(0).With(features.FeatSize, size)
 }
 
 func TestDedupeConsecutive(t *testing.T) {
@@ -49,16 +50,20 @@ func TestFPrimePadding(t *testing.T) {
 	if fp.UniqueCount != 2 {
 		t.Fatalf("UniqueCount = %d, want 2", fp.UniqueCount)
 	}
-	if fp.FPrime[features.FeatSize] != 10 {
-		t.Errorf("slot 0 size = %v, want 10", fp.FPrime[features.FeatSize])
+	prime := fp.FPrime.AppendFloats(nil)
+	if len(prime) != FPrimeLen {
+		t.Fatalf("F′ expands to %d floats, want %d", len(prime), FPrimeLen)
 	}
-	if fp.FPrime[features.Count+features.FeatSize] != 20 {
-		t.Errorf("slot 1 size = %v, want 20", fp.FPrime[features.Count+features.FeatSize])
+	if prime[features.FeatSize] != 10 {
+		t.Errorf("slot 0 size = %v, want 10", prime[features.FeatSize])
+	}
+	if prime[features.Count+features.FeatSize] != 20 {
+		t.Errorf("slot 1 size = %v, want 20", prime[features.Count+features.FeatSize])
 	}
 	// Slots 2..11 are zero padding.
 	for i := 2 * features.Count; i < FPrimeLen; i++ {
-		if fp.FPrime[i] != 0 {
-			t.Fatalf("padding at %d = %v, want 0", i, fp.FPrime[i])
+		if prime[i] != 0 {
+			t.Fatalf("padding at %d = %v, want 0", i, prime[i])
 		}
 	}
 }
@@ -74,8 +79,9 @@ func TestFPrimeGlobalUniqueness(t *testing.T) {
 		t.Errorf("UniqueCount = %d, want 3", fp.UniqueCount)
 	}
 	wantSizes := []float64{1, 2, 3}
+	prime := fp.FPrime.AppendFloats(nil)
 	for i, w := range wantSizes {
-		if got := fp.FPrime[i*features.Count+features.FeatSize]; got != w {
+		if got := prime[i*features.Count+features.FeatSize]; got != w {
 			t.Errorf("slot %d size = %v, want %v", i, got, w)
 		}
 	}
@@ -84,28 +90,14 @@ func TestFPrimeGlobalUniqueness(t *testing.T) {
 func TestFPrimeCapsAtTwelve(t *testing.T) {
 	vs := make([]features.Vector, 0, 20)
 	for i := 0; i < 20; i++ {
-		vs = append(vs, vec(float64(i+1)))
+		vs = append(vs, vec(uint64(i+1)))
 	}
 	fp := FromVectors(vs)
 	if fp.UniqueCount != UniquePackets {
 		t.Errorf("UniqueCount = %d, want %d", fp.UniqueCount, UniquePackets)
 	}
-	if got := fp.FPrime[(UniquePackets-1)*features.Count+features.FeatSize]; got != 12 {
+	if got := fp.FPrime[UniquePackets-1].Field(features.FeatSize); got != 12 {
 		t.Errorf("last slot size = %v, want 12", got)
-	}
-}
-
-func TestTruncatedFPrime(t *testing.T) {
-	vs := make([]features.Vector, 0, 10)
-	for i := 0; i < 10; i++ {
-		vs = append(vs, vec(float64(i+1)))
-	}
-	f := FromVectors(vs).F
-	for _, n := range []int{4, 8, 16} {
-		fp := TruncatedFPrime(f, n)
-		if len(fp) != n*features.Count {
-			t.Errorf("TruncatedFPrime(%d) len = %d, want %d", n, len(fp), n*features.Count)
-		}
 	}
 }
 
@@ -176,7 +168,7 @@ func TestQuickFPrimeInvariants(t *testing.T) {
 	f := func(sizes []uint16) bool {
 		vs := make([]features.Vector, len(sizes))
 		for i, s := range sizes {
-			vs[i] = vec(float64(s%7) + 1) // few distinct values force dupes
+			vs[i] = vec(uint64(s%7) + 1) // few distinct values force dupes
 		}
 		fp := FromVectors(vs)
 		if fp.UniqueCount > UniquePackets || fp.UniqueCount > len(fp.F) {
@@ -191,5 +183,27 @@ func TestQuickFPrimeInvariants(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestRowsRoundTrip(t *testing.T) {
+	f := FromVectors([]features.Vector{vec(60), vec(90).With(features.FeatDstIPCounter, 3), vec(1514)}).F
+	rows := f.Rows()
+	if len(rows) != len(f) || len(rows[0]) != features.Count || rows[2][features.FeatSize] != 1514 {
+		t.Fatalf("Rows = %v", rows)
+	}
+	got, err := FromRows(rows)
+	if err != nil || !slices.Equal(got.F, f) {
+		t.Fatalf("FromRows(Rows(f)).F = %v, %v; want %v", got.F, err, f)
+	}
+	rows[1][features.FeatTCP] = 0.5
+	if _, err := FromRows(rows); err == nil || !strings.Contains(err.Error(), "row 1") || !strings.Contains(err.Error(), "tcp") {
+		t.Fatalf("FromRows error %v does not name row 1 and feature tcp", err)
+	}
+}
+
+func TestFingerprintSize(t *testing.T) {
+	if n := unsafe.Sizeof(Fingerprint{}); n > 128 {
+		t.Fatalf("Fingerprint is %d bytes, want <= 128", n)
 	}
 }

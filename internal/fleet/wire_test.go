@@ -4,29 +4,39 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"io"
+	"net"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"iotsentinel/internal/features"
 	"iotsentinel/internal/fingerprint"
 )
 
-// testFingerprint builds a deterministic fingerprint with rows distinct
-// enough to survive the consecutive-duplicate dedup.
+// testFingerprint builds a deterministic fingerprint whose vectors all
+// carry seed (a non-negative integer below 2^22) in their DstIPCounter
+// field, with rows distinct enough to survive the consecutive-duplicate
+// dedup.
 func testFingerprint(rows int, seed float64) fingerprint.Fingerprint {
 	vs := make([]features.Vector, rows)
 	for r := range vs {
-		for c := 0; c < features.Count; c++ {
-			vs[r][c] = seed + float64(r*features.Count+c)
-		}
+		vs[r] = features.Vector(0).
+			With(features.FeatDstIPCounter, uint64(seed)).
+			With(features.FeatSize, uint64(r))
 	}
 	return fingerprint.FromVectors(vs)
+}
+
+// seedOf recovers the seed testFingerprint stamped into fp.
+func seedOf(fp fingerprint.Fingerprint) float64 {
+	return float64(fp.F[0].Field(features.FeatDstIPCounter))
 }
 
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	payloads := map[frameType][]byte{
-		ftHello:     []byte(`{"versions":[1],"gatewayId":"g1"}`),
+		ftHello:     []byte(`{"versions":[2],"gatewayId":"g1"}`),
 		ftHeartbeat: nil,
 		ftCounters:  encodeCounters(7, 2),
 	}
@@ -78,8 +88,9 @@ func TestNegotiate(t *testing.T) {
 		want    uint32
 		ok      bool
 	}{
-		{[]uint32{1}, 1, true},
-		{[]uint32{99, 1}, 1, true},
+		{[]uint32{2}, 2, true},
+		{[]uint32{99, 2}, 2, true},
+		{[]uint32{1}, 0, false}, // V1 float rows are retired
 		{[]uint32{99}, 0, false},
 		{nil, 0, false},
 	}
@@ -96,10 +107,20 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 		testFingerprint(1, 0),
 		testFingerprint(7, 100),
 		testFingerprint(23, 1e6),
+		testFingerprint(3, 1<<22-1),
 	}
 	payload, err := encodeBatch(nil, fps)
 	if err != nil {
 		t.Fatalf("encodeBatch: %v", err)
+	}
+	// V2 layout: u16 count, then per fingerprint u16 rows and one
+	// 8-byte word per row.
+	want := 2
+	for _, fp := range fps {
+		want += 2 + 8*len(fp.F)
+	}
+	if len(payload) != want {
+		t.Fatalf("batch is %d bytes, want %d", len(payload), want)
 	}
 	got, err := decodeBatch(payload)
 	if err != nil {
@@ -171,5 +192,45 @@ func TestModelPushCodec(t *testing.T) {
 	}
 	if _, _, err := decodeModelPush([]byte("short")); err == nil {
 		t.Fatal("short model push decoded")
+	}
+}
+
+// TestHelloV1Refused checks that a gateway offering only the retired
+// V1 (float-row batches) gets the no-shared-version error frame and a
+// closed connection, and never registers.
+func TestHelloV1Refused(t *testing.T) {
+	reg := NewRegistry(time.Hour, nil)
+	srv, err := NewServer(ServerConfig{Registry: reg, Ingest: func([]fingerprint.Fingerprint) int { return 0 }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	defer srv.Close()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	if err := writeFrame(conn, ftHello, []byte(`{"versions":[1],"gatewayId":"g-v1"}`)); err != nil {
+		t.Fatal(err)
+	}
+	ft, payload, err := readFrame(conn)
+	if err != nil {
+		t.Fatalf("reading the refusal: %v", err)
+	}
+	if ft != ftError || !strings.Contains(string(payload), "no shared protocol version") {
+		t.Fatalf("got %s %q, want an error frame refusing the version", ft, payload)
+	}
+	if _, _, err := readFrame(conn); err == nil {
+		t.Fatal("connection still open after the refusal")
+	}
+	if len(reg.IDs()) != 0 {
+		t.Fatalf("V1 gateway registered: %+v", reg.IDs())
 	}
 }

@@ -429,7 +429,7 @@ func (g *Gateway) quarantineDevice(mac packet.MAC, fp fingerprint.Fingerprint, n
 		FirstSeen:    info.FirstSeen,
 		Attempts:     info.AssessAttempts,
 		SetupPackets: info.SetupPackets,
-		Fingerprint:  store.FRows(fp),
+		Fingerprint:  fp.F.Rows(),
 	})
 	g.qmu.Lock()
 	if q, queued := g.quarantine[mac]; queued {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"iotsentinel/internal/core"
+	"iotsentinel/internal/fingerprint"
 	"iotsentinel/internal/packet"
 	"iotsentinel/internal/sdn"
 	"iotsentinel/internal/store"
@@ -135,7 +136,7 @@ func (g *Gateway) Recover(rec *store.Recovery, now time.Time) (RecoveryStats, er
 			}
 		}
 		for _, q := range rec.Snapshot.Quarantine {
-			fp, err := store.RowsFingerprint(q.Fingerprint)
+			fp, err := fingerprint.FromRows(q.Fingerprint)
 			if err != nil {
 				continue // device stays quarantined, just not retryable
 			}
@@ -179,7 +180,7 @@ func (g *Gateway) Recover(rec *store.Recovery, now time.Time) (RecoveryStats, er
 			}
 			info.AssessAttempts = ev.Attempts
 			info.SetupPackets = ev.SetupPackets
-			if fp, err := store.RowsFingerprint(ev.Fingerprint); err == nil {
+			if fp, err := fingerprint.FromRows(ev.Fingerprint); err == nil {
 				parked[ev.MAC] = &quarantined{fp: fp, since: ev.At}
 			}
 		case store.EvRemoved:
@@ -301,7 +302,7 @@ func (g *Gateway) Checkpoint() error {
 		snap.Quarantine = append(snap.Quarantine, store.QuarantineRecord{
 			MAC:         mac,
 			Since:       q.since,
-			Fingerprint: store.FRows(q.fp),
+			Fingerprint: q.fp.F.Rows(),
 		})
 	}
 	g.qmu.Unlock()

@@ -3,12 +3,14 @@ package iotssp
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"iotsentinel/internal/features"
+	"iotsentinel/internal/fingerprint"
 	"iotsentinel/internal/obs"
 )
 
@@ -82,6 +84,54 @@ func TestAssessRejectsZeroRowMatrix(t *testing.T) {
 	}
 	if _, err := fingerprintFromRows([][]float64{}); err == nil {
 		t.Error("fingerprintFromRows(empty) must error")
+	}
+}
+
+// TestAssessRejectsNonFeatureValues posts rows whose values no packet
+// can have — fractions, negatives, huge magnitudes, flags above 1 — and
+// expects 400 naming the row and the feature, with nothing reaching the
+// unknown sink (and through it the learner).
+func TestAssessRejectsNonFeatureValues(t *testing.T) {
+	svc, _ := testService(t)
+	sunk := 0
+	svc.SetUnknownSink(func(fingerprint.Fingerprint) { sunk++ })
+	srv := httptest.NewServer(Handler(svc))
+	defer srv.Close()
+
+	cases := []struct {
+		feature int
+		value   string
+	}{
+		{features.FeatSize, "0.5"},
+		{features.FeatTCP, "-3"},
+		{features.FeatDstIPCounter, "1e300"},
+		{features.FeatUDP, "2"},
+		{features.FeatDstPortClass, "4"},
+	}
+	for _, c := range cases {
+		row := make([]string, features.Count)
+		for i := range row {
+			row[i] = "0"
+		}
+		row[c.feature] = c.value
+		zero := "[" + strings.Repeat("0,", features.Count-1) + "0]"
+		body := `{"f":[` + zero + `,[` + strings.Join(row, ",") + `]]}`
+		resp, err := srv.Client().Post(srv.URL+"/v1/assess", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		_ = resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s = %s: status = %d, want 400", features.Names[c.feature], c.value, resp.StatusCode)
+			continue
+		}
+		if !strings.Contains(string(msg), "row 1") || !strings.Contains(string(msg), features.Names[c.feature]) {
+			t.Errorf("%s = %s: error %q does not name row 1 and the feature", features.Names[c.feature], c.value, msg)
+		}
+	}
+	if sunk != 0 {
+		t.Fatalf("%d invalid fingerprints reached the unknown sink", sunk)
 	}
 }
 

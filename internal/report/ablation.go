@@ -6,7 +6,6 @@ import (
 
 	"iotsentinel/internal/core"
 	"iotsentinel/internal/eval"
-	"iotsentinel/internal/features"
 	"iotsentinel/internal/fingerprint"
 )
 
@@ -156,14 +155,11 @@ func AblateFingerprintLength(o Options) (*AblationResult, error) {
 // truncateDataset zeroes every F′ slot beyond the first n packets.
 func truncateDataset(ds map[core.TypeID][]fingerprint.Fingerprint, n int) map[core.TypeID][]fingerprint.Fingerprint {
 	out := make(map[core.TypeID][]fingerprint.Fingerprint, len(ds))
-	cut := n * features.Count
 	for t, fps := range ds {
 		cp := make([]fingerprint.Fingerprint, len(fps))
 		copy(cp, fps)
 		for i := range cp {
-			for j := cut; j < fingerprint.FPrimeLen; j++ {
-				cp[i].FPrime[j] = 0
-			}
+			clear(cp[i].FPrime[min(n, fingerprint.UniquePackets):])
 			if cp[i].UniqueCount > n {
 				cp[i].UniqueCount = n
 			}

@@ -1,12 +1,9 @@
 package store
 
 import (
-	"fmt"
 	"net/netip"
 	"time"
 
-	"iotsentinel/internal/features"
-	"iotsentinel/internal/fingerprint"
 	"iotsentinel/internal/packet"
 	"iotsentinel/internal/vulndb"
 )
@@ -122,27 +119,4 @@ func (e *Event) durable() bool {
 		return true
 	}
 	return false
-}
-
-// FRows flattens a fingerprint's F matrix for journaling.
-func FRows(fp fingerprint.Fingerprint) [][]float64 {
-	rows := make([][]float64, len(fp.F))
-	for i, v := range fp.F {
-		rows[i] = append([]float64(nil), v[:]...)
-	}
-	return rows
-}
-
-// RowsFingerprint rebuilds a Fingerprint from journaled F rows,
-// re-deriving F′ deterministically.
-func RowsFingerprint(rows [][]float64) (fingerprint.Fingerprint, error) {
-	vs := make([]features.Vector, len(rows))
-	for i, row := range rows {
-		if len(row) != features.Count {
-			return fingerprint.Fingerprint{}, fmt.Errorf("store: fingerprint row %d has %d features, want %d",
-				i, len(row), features.Count)
-		}
-		copy(vs[i][:], row)
-	}
-	return fingerprint.FromVectors(vs), nil
 }

@@ -18,11 +18,11 @@ func synthType(sizes []float64, protoFeat, n, pktLen int, seed int64) []fingerpr
 	for i := 0; i < n; i++ {
 		vs := make([]features.Vector, 0, pktLen)
 		for j := 0; j < pktLen; j++ {
-			var v features.Vector
-			v[features.FeatIP] = 1
-			v[protoFeat] = 1
-			v[features.FeatSize] = sizes[rng.Intn(len(sizes))]
-			v[features.FeatDstIPCounter] = float64(j%3 + 1)
+			v := features.Vector(0).
+				With(features.FeatIP, 1).
+				With(protoFeat, 1).
+				With(features.FeatSize, uint64(sizes[rng.Intn(len(sizes))])).
+				With(features.FeatDstIPCounter, uint64(j%3+1))
 			vs = append(vs, v)
 		}
 		out = append(out, fingerprint.FromVectors(vs))
