@@ -2,11 +2,12 @@
 # gate (vet + gofmt check + build + a vulnerability/static-analysis
 # pass when the tooling is installed + shuffled full test suite + a
 # short -race pass over the gateway, online learner, durable store,
-# metrics registry and fleet control plane + the crash fault-injection
-# sweep + the seeded fleet-link chaos sweep (see `make chaos`) + a
-# short fuzz pass over the capture ring and readers, the
-# model deserializer, the cluster-linkage input and the fleet wire
-# decoders + a short sustained-load soak with its leak/latency gates);
+# metrics registry, fleet control plane, capture ring and enforcement
+# plane + the crash fault-injection sweep + the seeded fleet-link chaos
+# sweep (see `make chaos`) + a short fuzz pass over the capture ring
+# and readers, the flow table against its scan oracle, the model
+# deserializer, the cluster-linkage input and the fleet wire decoders +
+# a short sustained-load soak with its leak/latency gates);
 # `make test-race` covers the concurrent
 # classifier bank, gateway, online learner, fleet control plane and
 # enforcement plane in full;
@@ -28,10 +29,11 @@
 GO ?= go
 BENCH_PKGS ?= ./internal/...
 # The root-package paper benchmarks worth archiving: the single-probe
-# and batch identification hot paths over the full 27-type bank. The
-# heavyweight figure/table benchmarks (cross-validation sweeps) stay
-# out of the archive — `make bench` still runs them all.
-BENCH_ROOT ?= ^Benchmark(ClassifySingle|EditDistanceSingle|TypeIdentification|FingerprintExtraction)$$
+# and batch identification hot paths over the full 27-type bank, and
+# the enforcement plane's rule install, switch fast path and Table VI
+# overhead. The heavyweight figure/table benchmarks (cross-validation
+# sweeps) stay out of the archive — `make bench` still runs them all.
+BENCH_ROOT ?= ^Benchmark(ClassifySingle|EditDistanceSingle|TypeIdentification|FingerprintExtraction|Table6Overhead|Fig6cRuleInstall|SwitchFastPath)$$
 # bench-json runs each benchmark BENCH_COUNT times; cmd/benchjson keeps
 # the minimum ns/op per benchmark, damping scheduler noise on busy
 # hosts so `make bench-check` compares capability, not luck.
@@ -68,7 +70,7 @@ vulncheck:
 
 verify: vet fmt-check build vulncheck
 	$(GO) test -shuffle=on ./...
-	$(GO) test -race -count=1 ./internal/chaos/... ./internal/fleet/... ./internal/gateway/... ./internal/learn/... ./internal/obs/... ./internal/store/...
+	$(GO) test -race -count=1 ./internal/capture/... ./internal/chaos/... ./internal/fleet/... ./internal/gateway/... ./internal/learn/... ./internal/obs/... ./internal/sdn/... ./internal/store/...
 	$(MAKE) crash
 	$(MAKE) chaos
 	$(MAKE) fuzz
@@ -89,6 +91,7 @@ test-race:
 fuzz:
 	$(GO) test -fuzz='^FuzzRingDelivery$$' -fuzztime=$(FUZZTIME) ./internal/capture/
 	$(GO) test -fuzz='^FuzzVectorPack$$' -fuzztime=$(FUZZTIME) ./internal/features/
+	$(GO) test -fuzz='^FuzzFlowTable$$' -fuzztime=$(FUZZTIME) ./internal/sdn/
 	$(GO) test -fuzz='^FuzzReadPcap$$' -fuzztime=$(FUZZTIME) ./internal/pcap/
 	$(GO) test -fuzz='^FuzzReadPcapNG$$' -fuzztime=$(FUZZTIME) ./internal/pcap/
 	$(GO) test -fuzz='^FuzzLoad$$' -fuzztime=$(FUZZTIME) ./internal/ml/rf/

@@ -30,6 +30,8 @@ package capture
 import (
 	"errors"
 	"time"
+
+	"iotsentinel/internal/packet"
 )
 
 // Frame is one captured link-layer frame with its capture timestamp.
@@ -56,23 +58,14 @@ type Source interface {
 // after the source has been closed.
 var ErrClosed = errors.New("capture: source closed")
 
-// macHash is 32-bit FNV-1a over the frame's source MAC (Ethernet
-// bytes 6..12) — deliberately the same function the gateway stripes
-// device state with, so a fanout reader and the shard it feeds see
-// every device's packets in arrival order.
+// macHash is packet.MACHash of the frame's source MAC (Ethernet bytes
+// 6..12), so a fanout reader and the gateway shard it feeds see every
+// device's packets in arrival order. A runt frame hashes as the zero
+// MAC; the decoder rejects it downstream.
 func macHash(frame []byte) uint32 {
-	h := uint32(2166136261)
-	if len(frame) < 12 {
-		// Runt frame: hash what exists; the decoder will reject it.
-		for _, b := range frame {
-			h ^= uint32(b)
-			h *= 16777619
-		}
-		return h
+	var src packet.MAC
+	if len(frame) >= 12 {
+		src = packet.MAC(frame[6:12])
 	}
-	for _, b := range frame[6:12] {
-		h ^= uint32(b)
-		h *= 16777619
-	}
-	return h
+	return packet.MACHash(src)
 }

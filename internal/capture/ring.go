@@ -206,10 +206,21 @@ func (r *Ring) publishLocked(b *ringBlock) {
 	}
 }
 
+// publishOwnedLocked publishes the producer's current block only while
+// the producer still owns it. On a full ring the cursor rests on a
+// block the consumer holds; publishing that one again would advance the
+// cursor past unread blocks, reordering frames and losing them at
+// close.
+func (r *Ring) publishOwnedLocked() {
+	if b := &r.blocks[r.pi]; b.status.Load() == blockProducer {
+		r.publishLocked(b)
+	}
+}
+
 // Flush publishes the partially filled current block, if any.
 func (r *Ring) Flush() {
 	r.mu.Lock()
-	r.publishLocked(&r.blocks[r.pi])
+	r.publishOwnedLocked()
 	r.mu.Unlock()
 }
 
@@ -219,7 +230,7 @@ func (r *Ring) Flush() {
 func (r *Ring) Close() error {
 	r.mu.Lock()
 	if !r.closed.Load() {
-		r.publishLocked(&r.blocks[r.pi])
+		r.publishOwnedLocked()
 		r.closed.Store(true)
 	}
 	r.mu.Unlock()

@@ -5,9 +5,12 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"net/netip"
 	"sync"
 	"testing"
 	"time"
+
+	"iotsentinel/internal/packet"
 )
 
 func frameFor(i int, size int) []byte {
@@ -146,6 +149,55 @@ func TestRingPartialBlockFlush(t *testing.T) {
 	r.Close()
 }
 
+// TestRingFlushCloseOnFullRing flushes a lossy ring while every block
+// is published and unread, then keeps producing and closes it. Flush
+// and Close may only publish a block the producer still owns: frames
+// accepted after the consumer freed space must arrive exactly once, in
+// order, before io.EOF.
+func TestRingFlushCloseOnFullRing(t *testing.T) {
+	// 20-byte frames pad to 32 bytes, so a 128-byte block holds four.
+	r := NewRing(RingConfig{Blocks: 3, BlockSize: 128, Retire: time.Hour})
+	var accepted, received []int
+	inject := func(from, to int) {
+		for i := from; i < to; i++ {
+			drops := r.Drops()
+			if err := r.Inject(time.Unix(0, int64(i)), frameFor(i, 20)); err != nil {
+				t.Fatalf("inject %d: %v", i, err)
+			}
+			if r.Drops() == drops {
+				accepted = append(accepted, i)
+			}
+		}
+	}
+	recv := func(n int) error {
+		for ; n != 0; n-- {
+			f, err := r.Recv()
+			if err != nil {
+				return err
+			}
+			received = append(received, int(binary.BigEndian.Uint32(f.Data[6:10])))
+		}
+		return nil
+	}
+
+	inject(0, 13) // 12 fill the three blocks; frame 12 is dropped
+	r.Flush()     // the cursor rests on a consumer-owned block
+	if err := recv(9); err != nil {
+		t.Fatal(err)
+	}
+	inject(13, 17) // two blocks are free again
+	r.Close()
+	if err := recv(-1); err != io.EOF {
+		t.Fatalf("drain: got %v, want io.EOF", err)
+	}
+	if fmt.Sprint(received) != fmt.Sprint(accepted) {
+		t.Fatalf("received %v\nwant     %v", received, accepted)
+	}
+	if len(accepted) != 16 {
+		t.Fatalf("accepted %d frames, want 16 (only frame 12 meets a full ring)", len(accepted))
+	}
+}
+
 // TestRingConcurrentProducers hammers Inject from several goroutines
 // and requires every accepted frame to arrive intact (per-producer
 // order is preserved by the producer mutex; cross-producer order is
@@ -247,6 +299,26 @@ func TestFanoutKeepsPerMACOrder(t *testing.T) {
 		if last != per-1 {
 			t.Errorf("device %d ended at seq %d, want %d", dev, last, per-1)
 		}
+	}
+}
+
+// TestFanoutHashIsMACHash requires the fanout's frame hash to equal
+// packet.MACHash of the decoded source MAC, so a fanout reader feeds
+// exactly the gateway shard and switch stripe that own the device.
+func TestFanoutHashIsMACHash(t *testing.T) {
+	ip := netip.MustParseAddr("192.168.1.10")
+	for i := 0; i < 512; i++ {
+		src := packet.MAC{0x02, byte(i * 31), byte(i >> 8), byte(i), 0x5a, byte(i * 7)}
+		frame, err := packet.NewTCPSyn(src, packet.MAC{2, 2, 2, 2, 2, 2}, ip, ip, 40000, 443).Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := macHash(frame), packet.MACHash(src); got != want {
+			t.Fatalf("frame %d: fanout hash %#x, MACHash(%v) %#x", i, got, src, want)
+		}
+	}
+	if got, want := macHash([]byte{0xde, 0xad}), packet.MACHash(packet.MAC{}); got != want {
+		t.Errorf("runt frame hash %#x, want the zero MAC's %#x", got, want)
 	}
 }
 

@@ -57,15 +57,10 @@ func shardCount(n int) int {
 	return p
 }
 
-// shardIndex hashes a MAC onto a shard slot with 32-bit FNV-1a. The
+// shardIndex maps a MAC onto a shard slot with packet.MACHash. The
 // mask is len(shards)-1, valid because the count is a power of two.
 func shardIndex(mac packet.MAC, mask uint32) uint32 {
-	h := uint32(2166136261)
-	for _, b := range mac {
-		h ^= uint32(b)
-		h *= 16777619
-	}
-	return h & mask
+	return packet.MACHash(mac) & mask
 }
 
 // shardOf returns the shard owning mac's state.

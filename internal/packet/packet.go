@@ -192,6 +192,20 @@ func (m MAC) IsBroadcast() bool {
 // IsMulticast reports whether the group bit of the address is set.
 func (m MAC) IsMulticast() bool { return m[0]&0x01 == 1 }
 
+// MACHash is 32-bit FNV-1a over the address bytes. It is the one
+// device hash of the pipeline: the capture fanout picks a reader ring,
+// the gateway a device-state shard and the switch a flow-table stripe
+// by its low bits, so every stage sees one device's packets in one
+// place and in arrival order.
+func MACHash(m MAC) uint32 {
+	h := uint32(2166136261)
+	for _, b := range m {
+		h ^= uint32(b)
+		h *= 16777619
+	}
+	return h
+}
+
 // ParseMAC parses a colon- or dash-separated hardware address.
 func ParseMAC(s string) (MAC, error) {
 	var m MAC

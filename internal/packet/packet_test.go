@@ -20,6 +20,24 @@ func TestMACString(t *testing.T) {
 	}
 }
 
+// TestMACHashPinned pins the FNV-1a values: capture fanout, gateway
+// shards and switch stripes all place devices by this hash, so a change
+// would silently re-home every device.
+func TestMACHashPinned(t *testing.T) {
+	for _, c := range []struct {
+		mac  MAC
+		want uint32
+	}{
+		{MAC{0x02, 0xd0, 0, 0, 0, 1}, 0x8b69e2ec},
+		{MAC{}, 0x7f77879d},
+		{MAC{0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, 0xc4f2886f},
+	} {
+		if got := MACHash(c.mac); got != c.want {
+			t.Errorf("MACHash(%v) = %#x, want %#x", c.mac, got, c.want)
+		}
+	}
+}
+
 func TestParseMAC(t *testing.T) {
 	tests := []struct {
 		give    string

@@ -3,6 +3,7 @@ package sdn
 import (
 	"net/netip"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -80,4 +81,33 @@ func BenchmarkFlowTableMatch(b *testing.B) {
 			b.Fatal("flow missing")
 		}
 	}
+}
+
+// BenchmarkSwitchParallelDevices switches installed flows of distinct
+// devices, one per goroutine and each in its own stripe, on every
+// core: the enforced-packet path under parallel readers. Run with
+// -cpu 1,2 to see what cores sharing it cost.
+func BenchmarkSwitchParallelDevices(b *testing.B) {
+	sw := NewSwitch(newTestController(), time.Minute)
+	sw.SetMonitor(NewTrafficMonitor())
+	var pks []*packet.Packet
+	used := make(map[uint32]bool)
+	for i := 0; len(pks) < flowStripes; i++ {
+		mac := packet.MAC{0x02, 0xcc, 0, 0, byte(i >> 8), byte(i)}
+		if h := packet.MACHash(mac) % flowStripes; !used[h] {
+			used[h] = true
+			pks = append(pks, packet.NewTCPSyn(mac, gwMAC, ipA, cloud, 40000, 443))
+			sw.Process(pks[len(pks)-1], time.Unix(0, 0))
+		}
+	}
+	var next atomic.Int32
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		pk := pks[int(next.Add(1)-1)%len(pks)]
+		now := time.Unix(1, 0)
+		for pb.Next() {
+			sw.Process(pk, now)
+		}
+	})
 }

@@ -4,20 +4,27 @@ import (
 	"iotsentinel/internal/obs"
 )
 
-// SwitchMetrics instruments the data plane: per-action packet counters
-// plus the fast-path/slow-path split. Attach via Switch.SetMetrics; a
-// nil bundle disables instrumentation.
+// SwitchMetrics instruments the data plane: per-action packet counters,
+// the fast-path/slow-path split and the flow table's size and
+// invalidations. Attach via Switch.SetMetrics; a nil bundle disables
+// instrumentation.
 //
 // Exported series:
 //
 //	sdn_switch_packets_total{action="forward|drop"}  counter
 //	sdn_switch_packet_ins_total                      counter
 //	sdn_switch_table_hits_total                      counter
+//	sdn_flow_table_entries                           gauge
+//	sdn_flow_invalidations_total                     counter
+//	sdn_flows_invalidated_total                      counter
 type SwitchMetrics struct {
-	forwarded *obs.Counter
-	dropped   *obs.Counter
-	packetIns *obs.Counter
-	tableHits *obs.Counter
+	forwarded     *obs.Counter
+	dropped       *obs.Counter
+	packetIns     *obs.Counter
+	tableHits     *obs.Counter
+	entries       *obs.Gauge
+	invalidations *obs.Counter
+	flowsRemoved  *obs.Counter
 }
 
 // NewSwitchMetrics registers the switch metric family on reg.
@@ -31,6 +38,12 @@ func NewSwitchMetrics(reg *obs.Registry) *SwitchMetrics {
 			"Flow-table misses escalated to the controller."),
 		tableHits: reg.Counter("sdn_switch_table_hits_total",
 			"Packets switched in the fast path."),
+		entries: reg.Gauge("sdn_flow_table_entries",
+			"Flows installed in the switch's flow table."),
+		invalidations: reg.Counter("sdn_flow_invalidations_total",
+			"Device invalidations (a device's rule changed or it left)."),
+		flowsRemoved: reg.Counter("sdn_flows_invalidated_total",
+			"Flows removed by device invalidations."),
 	}
 }
 
@@ -49,4 +62,14 @@ func (m *SwitchMetrics) observe(act Action, hit bool) {
 	} else {
 		m.dropped.Inc()
 	}
+}
+
+// invalidated records one device invalidation that removed n flows.
+// Safe on nil.
+func (m *SwitchMetrics) invalidated(n int) {
+	if m == nil {
+		return
+	}
+	m.invalidations.Inc()
+	m.flowsRemoved.Add(uint64(n))
 }

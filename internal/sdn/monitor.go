@@ -23,10 +23,18 @@ type DeviceStats struct {
 }
 
 // TrafficMonitor tracks per-source-device traffic through the switch.
-// All methods are safe for concurrent use.
+// All methods are safe for concurrent use. Devices are striped by
+// packet.MACHash like the flow table, so devices in different stripes
+// never share a lock.
 type TrafficMonitor struct {
+	stripes [flowStripes]monitorStripe
+}
+
+// monitorStripe fills a cache line, like the flow table's stripes.
+type monitorStripe struct {
 	mu    sync.Mutex
 	stats map[packet.MAC]*deviceAccum
+	_     [48]byte
 }
 
 type deviceAccum struct {
@@ -40,21 +48,27 @@ type deviceAccum struct {
 }
 
 // NewTrafficMonitor returns an empty monitor.
-func NewTrafficMonitor() *TrafficMonitor {
-	return &TrafficMonitor{stats: make(map[packet.MAC]*deviceAccum)}
+func NewTrafficMonitor() *TrafficMonitor { return &TrafficMonitor{} }
+
+func (m *TrafficMonitor) stripeOf(mac packet.MAC) *monitorStripe {
+	return &m.stripes[packet.MACHash(mac)%flowStripes]
 }
 
 // Observe records one processed packet and its verdict.
 func (m *TrafficMonitor) Observe(pk *packet.Packet, action Action, now time.Time) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	acc, ok := m.stats[pk.SrcMAC]
+	s := m.stripeOf(pk.SrcMAC)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	acc, ok := s.stats[pk.SrcMAC]
 	if !ok {
+		if s.stats == nil {
+			s.stats = make(map[packet.MAC]*deviceAccum)
+		}
 		acc = &deviceAccum{
 			DeviceStats: DeviceStats{MAC: pk.SrcMAC, FirstSeen: now},
 			dsts:        make(map[netip.Addr]struct{}),
 		}
-		m.stats[pk.SrcMAC] = acc
+		s.stats[pk.SrcMAC] = acc
 	}
 	acc.Packets++
 	acc.Bytes += uint64(pk.Size)
@@ -70,9 +84,10 @@ func (m *TrafficMonitor) Observe(pk *packet.Packet, action Action, now time.Time
 
 // Device returns the stats for one device.
 func (m *TrafficMonitor) Device(mac packet.MAC) (DeviceStats, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	acc, ok := m.stats[mac]
+	s := m.stripeOf(mac)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	acc, ok := s.stats[mac]
 	if !ok {
 		return DeviceStats{}, false
 	}
@@ -81,12 +96,15 @@ func (m *TrafficMonitor) Device(mac packet.MAC) (DeviceStats, bool) {
 
 // TopTalkers returns up to n devices ordered by descending byte count.
 func (m *TrafficMonitor) TopTalkers(n int) []DeviceStats {
-	m.mu.Lock()
-	out := make([]DeviceStats, 0, len(m.stats))
-	for _, acc := range m.stats {
-		out = append(out, acc.DeviceStats)
+	var out []DeviceStats
+	for i := range m.stripes {
+		s := &m.stripes[i]
+		s.mu.Lock()
+		for _, acc := range s.stats {
+			out = append(out, acc.DeviceStats)
+		}
+		s.mu.Unlock()
 	}
-	m.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Bytes != out[j].Bytes {
 			return out[i].Bytes > out[j].Bytes
@@ -101,22 +119,24 @@ func (m *TrafficMonitor) TopTalkers(n int) []DeviceStats {
 
 // Forget drops a device's counters (e.g. after RemoveDevice).
 func (m *TrafficMonitor) Forget(mac packet.MAC) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	delete(m.stats, mac)
+	s := m.stripeOf(mac)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.stats, mac)
 }
 
 // Len returns the number of tracked devices.
 func (m *TrafficMonitor) Len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.stats)
+	n := 0
+	for i := range m.stripes {
+		s := &m.stripes[i]
+		s.mu.Lock()
+		n += len(s.stats)
+		s.mu.Unlock()
+	}
+	return n
 }
 
 // SetMonitor attaches a traffic monitor to the switch; every processed
 // packet is observed. Pass nil to detach.
-func (s *Switch) SetMonitor(m *TrafficMonitor) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.monitor = m
-}
+func (s *Switch) SetMonitor(m *TrafficMonitor) { s.monitor.Store(m) }

@@ -11,6 +11,7 @@ import (
 	"net/netip"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"iotsentinel/internal/packet"
 )
@@ -93,8 +94,8 @@ type RuleCache struct {
 	rules map[uint64]*EnforcementRule
 	bytes int
 	// hits/misses support cache instrumentation.
-	hits   uint64
-	misses uint64
+	hits   atomic.Uint64
+	misses atomic.Uint64
 }
 
 // NewRuleCache returns an empty cache.
@@ -118,13 +119,13 @@ func (c *RuleCache) Put(r *EnforcementRule) {
 
 // Get returns the rule for a device MAC, if present.
 func (c *RuleCache) Get(mac packet.MAC) (*EnforcementRule, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.mu.RLock()
 	r, ok := c.rules[macHash(mac)]
+	c.mu.RUnlock()
 	if ok {
-		c.hits++
+		c.hits.Add(1)
 	} else {
-		c.misses++
+		c.misses.Add(1)
 	}
 	return r, ok
 }
@@ -160,9 +161,7 @@ func (c *RuleCache) ApproxBytes() int {
 
 // Stats returns cumulative lookup hits and misses.
 func (c *RuleCache) Stats() (hits, misses uint64) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.hits, c.misses
+	return c.hits.Load(), c.misses.Load()
 }
 
 // Rules returns a snapshot of all rules sorted by device MAC.

@@ -3,6 +3,7 @@ package sdn
 import (
 	"net/netip"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"iotsentinel/internal/packet"
@@ -59,7 +60,7 @@ type Controller struct {
 	// (the paper's "without filtering" baseline).
 	filtering bool
 
-	packetIns uint64
+	packetIns atomic.Uint64
 }
 
 // NewController returns a controller enforcing rules from cache within
@@ -130,11 +131,7 @@ func (c *Controller) AddInfrastructure(mac packet.MAC) {
 }
 
 // PacketIns returns the number of packet-in events handled.
-func (c *Controller) PacketIns() uint64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.packetIns
-}
+func (c *Controller) PacketIns() uint64 { return c.packetIns.Load() }
 
 // overlayOf returns the overlay a device belongs to: the overlay of its
 // rule's level, or untrusted when the device has no rule yet (unknown
@@ -165,12 +162,12 @@ func (c *Controller) levelOf(mac packet.MAC) (IsolationLevel, *EnforcementRule) 
 // in the same overlay, so a compromised untrusted device can never
 // reach a trusted one.
 func (c *Controller) PacketIn(key packet.FlowKey, _ time.Time) Decision {
-	c.mu.Lock()
-	c.packetIns++
+	c.packetIns.Add(1)
+	c.mu.RLock()
 	filtering := c.filtering
 	srcInfra := c.infra[key.SrcMAC]
 	dstInfra := c.infra[key.DstMAC]
-	c.mu.Unlock()
+	c.mu.RUnlock()
 
 	if !filtering {
 		return Decision{Action: ActionForward, Reason: "filtering disabled"}
@@ -227,19 +224,45 @@ type SwitchStats struct {
 // Switch is the Open vSwitch analogue: an exact-match flow table in
 // front of the controller. The first packet of each flow goes to the
 // controller (packet-in); the decision is installed as a micro-flow and
-// subsequent packets are switched in the fast path.
+// subsequent packets are switched in the fast path. Process takes no
+// switch-wide lock: counters are atomics, striped like the flow table,
+// and the attached monitor and metrics are atomic pointers.
 type Switch struct {
-	mu      sync.Mutex
-	table   *FlowTable
-	ctrl    *Controller
-	stats   SwitchStats
-	monitor *TrafficMonitor
-	metrics *SwitchMetrics
+	// stats is first so the cache-line-sized stripes start on a line.
+	stats [flowStripes]statStripe
+	table *FlowTable
+	ctrl  *Controller
+
+	monitor atomic.Pointer[TrafficMonitor]
+	metrics atomic.Pointer[SwitchMetrics]
+
+	// beforeInstall, when set by a test, runs between the controller's
+	// decision and the flow install of a table miss.
+	beforeInstall func()
 }
+
+// statStripe holds the switch counters of the devices in one stripe,
+// padded to a cache line so two cores counting different devices'
+// packets do not write the same line.
+type statStripe struct {
+	forwarded atomic.Uint64
+	dropped   atomic.Uint64
+	packetIns atomic.Uint64
+	tableHits atomic.Uint64
+	_         [32]byte
+}
+
+// installRetries bounds how often a table miss asks the controller
+// again after an invalidation raced its install.
+const installRetries = 4
 
 // NewSwitch wires a switch to its controller.
 func NewSwitch(ctrl *Controller, idleTimeout time.Duration) *Switch {
-	return &Switch{table: NewFlowTable(idleTimeout), ctrl: ctrl}
+	return newSwitch(ctrl, idleTimeout, flowStripes)
+}
+
+func newSwitch(ctrl *Controller, idleTimeout time.Duration, stripes int) *Switch {
+	return &Switch{table: newFlowTable(idleTimeout, stripes), ctrl: ctrl}
 }
 
 // Table exposes the flow table.
@@ -252,51 +275,74 @@ func (s *Switch) Controller() *Controller { return s.ctrl }
 func (s *Switch) Process(pk *packet.Packet, now time.Time) Action {
 	key := pk.Flow()
 	act, hit := s.table.Match(key, pk.Size, now)
-	if !hit {
-		dec := s.ctrl.PacketIn(key, now)
-		s.table.Install(key, dec.Action, now)
-		act = dec.Action
-	}
-	s.mu.Lock()
+	st := &s.stats[packet.MACHash(key.SrcMAC)%flowStripes]
 	if hit {
-		s.stats.TableHits++
+		st.tableHits.Add(1)
 	} else {
-		s.stats.PacketIns++
+		act = s.packetIn(key, now)
+		st.packetIns.Add(1)
 	}
-	s.count(act)
-	monitor, metrics := s.monitor, s.metrics
-	s.mu.Unlock()
-	metrics.observe(act, hit)
-	if monitor != nil {
-		monitor.Observe(pk, act, now)
+	if act == ActionForward {
+		st.forwarded.Add(1)
+	} else {
+		st.dropped.Add(1)
+	}
+	s.metrics.Load().observe(act, hit)
+	if m := s.monitor.Load(); m != nil {
+		m.Observe(pk, act, now)
 	}
 	return act
 }
 
-func (s *Switch) count(a Action) {
-	if a == ActionForward {
-		s.stats.Forwarded++
-	} else {
-		s.stats.Dropped++
+// packetIn decides a table miss and installs the decision. The install
+// is fenced by the table's invalidation epoch: if a device's rule
+// changed and its flows were invalidated while the controller decided,
+// the decision may rest on the old rule, so it is refused and made
+// again. After installRetries refusals the latest decision is returned
+// without installing; the flow's next packet asks the controller again.
+func (s *Switch) packetIn(key packet.FlowKey, now time.Time) Action {
+	var dec Decision
+	for i := 0; i < installRetries; i++ {
+		epoch := s.table.epoch.Load()
+		dec = s.ctrl.PacketIn(key, now)
+		if s.beforeInstall != nil {
+			s.beforeInstall()
+		}
+		if s.table.installAt(key, dec.Action, now, epoch) {
+			break
+		}
 	}
+	return dec.Action
 }
 
 // SetMetrics attaches an instrumentation bundle (nil detaches it).
 func (s *Switch) SetMetrics(m *SwitchMetrics) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.metrics = m
+	s.metrics.Store(m)
+	if m == nil {
+		s.table.entries.Store(nil)
+		return
+	}
+	s.table.entries.Store(m.entries)
+	m.entries.Set(int64(s.table.Len()))
 }
 
 // Stats returns a snapshot of switch counters.
 func (s *Switch) Stats() SwitchStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
+	var out SwitchStats
+	for i := range s.stats {
+		st := &s.stats[i]
+		out.Forwarded += st.forwarded.Load()
+		out.Dropped += st.dropped.Load()
+		out.PacketIns += st.packetIns.Load()
+		out.TableHits += st.tableHits.Load()
+	}
+	return out
 }
 
 // InvalidateDevice removes installed flows for a device whose isolation
 // level changed, forcing fresh controller decisions.
 func (s *Switch) InvalidateDevice(mac packet.MAC) int {
-	return s.table.RemoveByMAC(mac)
+	n := s.table.RemoveByMAC(mac)
+	s.metrics.Load().invalidated(n)
+	return n
 }
